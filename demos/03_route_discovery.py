@@ -30,11 +30,11 @@ print(f"\n{len(routes)} node-disjoint routes from {source} to {sink}")
 for r in routes:
     print(f"  path {r.path_id} ({r.hops:2d} hops): {','.join(map(str, r.nodes))}")
 
-# Each route gets a timing profile; the analytic mode prices a hop from
-# the link parameters, the probed mode round-trips a hello over every hop.
+# Each route gets a timing profile. A hop costs the packet's serialization
+# time at the bit rate plus the propagation and queuing delays.
 link = LinkParams(b=50_000.0, l=0.001, q=0.0005)
 for r in routes:
-    prof = estimate_path_params(g, r, link, mode="probed")
+    prof = estimate_path_params(g, r, link)
     print(f"  path {r.path_id}: tau = {prof.tau * 1e3:.1f} ms/hop, "
           f"span {prof.T_dist:.1f} m")
 

@@ -58,9 +58,6 @@ from .simulation import (
     FaultScript,
     SimConfig,
     TransferReport,
-    account_idle_and_sensing,
-    classify_fault,
-    recover_and_resume,
     run_transfer,
 )
 from .scenario import (
@@ -88,8 +85,7 @@ __all__ = [
     "Route", "RoutingTable", "StaleRouteError", "discover_disjoint_paths",
     "estimate_path_params", "build_routing_table", "replace_failed_node",
     "EnergyLedger", "FaultCase", "FaultEvent", "FaultRecord", "FaultScript",
-    "SimConfig", "TransferReport", "classify_fault", "recover_and_resume",
-    "account_idle_and_sensing", "run_transfer",
+    "SimConfig", "TransferReport", "run_transfer",
     "ScenarioConfig", "ScenarioError", "parse_scenario", "load_scenario",
     "build_network", "bundled_scenario_path",
     "ComparisonReport", "SchemeRun", "run_comparison", "emit_outputs",

@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_arg(run)
     run.add_argument("--out", help="output directory (default from scenario)")
     run.add_argument("--packets", type=int, help="override packet demand")
-    run.add_argument("--seed", type=int, help="override simulation seed")
     run.add_argument("--schemes", type=int, nargs="+", choices=(1, 2, 3),
                      help="override schemes to run")
     run.add_argument("--trace", action="store_true",
@@ -52,8 +51,6 @@ def _cmd_run(args) -> int:
             print("error: --packets must be >= 0", file=sys.stderr)
             return EXIT_ERROR
         cfg.packets = args.packets
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.schemes:
         cfg.schemes = list(dict.fromkeys(args.schemes))
     if args.trace:

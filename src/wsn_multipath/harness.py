@@ -6,8 +6,8 @@ energy is communication plus radio idling plus sensing. Sensing is priced
 over the longest round among the compared schemes, the common observation
 window: the field keeps sensing while the slowest scheme is still draining,
 so a faster transfer must not be credited for sensing time it did not save.
-Idle is priced over each scheme's own round (the radio can sleep once the
-transfer is done).
+Idle is priced by the engine over each scheme's own round (the radio can
+sleep once the transfer is done).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .distribution import Distribution, Scheme, allocate, verify_edp_bound
 from .scenario import ScenarioConfig, build_network
-from .simulation import SimConfig, TransferReport, account_idle_and_sensing, run_transfer
+from .simulation import SimConfig, TransferReport, run_transfer
 
 __all__ = [
     "SchemeRun",
@@ -103,15 +103,12 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
         if scheme is Scheme.ADAPTIVE:
             bound = verify_edp_bound(cfg.ep, profiles, dist)
             warnings.extend(f"adaptive: {w}" for w in bound.warnings)
-        sim_cfg = SimConfig(max_attempts=cfg.max_attempts, seed=cfg.seed,
+        sim_cfg = SimConfig(max_attempts=cfg.max_attempts,
                             control_bits=cfg.control_bits,
                             idle_power=cfg.idle_power, trace=cfg.trace)
         report = run_transfer(g, table, dist, cfg.ep, cfg.link,
                               faults=cfg.faults, config=sim_cfg,
                               destination=sink)
-        account_idle_and_sensing(report.ledger, report.completion_time, g,
-                                 set(report.fabric_nodes), cfg.ep,
-                                 cfg.idle_power)
         fabric_count = max(fabric_count, len(report.fabric_nodes))
         runs.append(SchemeRun(
             scheme=scheme,
@@ -119,9 +116,7 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
             transfer=report,
             overall_delay=report.completion_time,
             comm_energy=report.comm_energy(),
-            idle_energy=math.fsum(
-                report.ledger.nodes[n].idle.value for n in report.fabric_nodes
-                if n in report.ledger.nodes),
+            idle_energy=report.ledger.total("idle"),
         ))
     t_obs = max((r.overall_delay for r in runs), default=0.0)
     for r in runs:

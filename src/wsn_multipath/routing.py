@@ -161,44 +161,24 @@ def discover_disjoint_paths(g: TopologyGraph, source: int, sink: int,
     return routes
 
 
-def _link_for(g: TopologyGraph, u: int, v: int, default: LinkParams) -> LinkParams:
-    override = g.link_overrides.get((u, v))
-    return override if isinstance(override, LinkParams) else default
-
-
 def estimate_path_params(g: TopologyGraph, route: Route, link: LinkParams,
-                         mode: str = "analytic",
                          packet_bits: float = 1000.0) -> PathProfile:
     """Per-hop delay and end-to-end distance for one route.
 
-    analytic: tau from the nominal link parameters (bits/rate + latencies).
-    probed:   a hello/reply round trip is priced over the actual hops, using
-              any per-direction link overrides, and tau = RTT / (2H).
+    tau comes from the nominal link parameters (bits/rate + latencies).
     """
     for nid in route.nodes:
         if nid not in g or not g.nodes[nid].alive:
             raise StaleRouteError(f"route {route.path_id} references dead node {nid}")
-    h = route.hops
     t_dist = g.distance(route.source, route.sink)
     if t_dist <= 0:
         raise ValueError("source and sink positions coincide; no path distance")
-    if mode == "analytic":
-        tau = per_hop_delay(packet_bits, link)
-    elif mode == "probed":
-        rtt = 0.0
-        for u, v in zip(route.nodes, route.nodes[1:]):
-            rtt += per_hop_delay(packet_bits, _link_for(g, u, v, link))
-        for u, v in zip(reversed(route.nodes), list(reversed(route.nodes))[1:]):
-            rtt += per_hop_delay(packet_bits, _link_for(g, u, v, link))
-        tau = rtt / (2 * h)
-    else:
-        raise ValueError(f"unknown estimation mode {mode!r}")
-    return PathProfile(path_id=route.path_id, H=h, tau=tau, T_dist=t_dist)
+    return PathProfile(path_id=route.path_id, H=route.hops,
+                       tau=per_hop_delay(packet_bits, link), T_dist=t_dist)
 
 
 def build_routing_table(g: TopologyGraph, source: int, destinations: list[int],
                         link: LinkParams, max_paths: int = 5,
-                        mode: str = "analytic",
                         packet_bits: float = 1000.0) -> RoutingTable:
     """Discover routes and parameter profiles for each destination.
 
@@ -211,7 +191,7 @@ def build_routing_table(g: TopologyGraph, source: int, destinations: list[int],
             continue
         routes = discover_disjoint_paths(g, source, dest, max_paths=max_paths)
         for r in routes:
-            r.profile = estimate_path_params(g, r, link, mode=mode, packet_bits=packet_bits)
+            r.profile = estimate_path_params(g, r, link, packet_bits=packet_bits)
         if routes:
             table.entries[dest] = routes
     table.version = g.version

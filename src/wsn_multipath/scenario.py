@@ -64,12 +64,10 @@ class ScenarioConfig:
     redundant_fraction: float = 0.05
     # simulation knobs
     max_attempts: int = 5
-    seed: int = 0
     control_bits: float = 100.0
     idle_power: float = 0.0
     trace: bool = False
     initial_energy: float = 23760.0
-    probe_mode: str = "analytic"
     background_nodes: int = 0
     out_dir: str = "out"
     faults: FaultScript = field(default_factory=FaultScript)
@@ -103,11 +101,9 @@ _KNOWN = {
     "energy.k_r": (1, 1),
     "energy.packet_bits": (1, 1),
     "sim.max_attempts": (1, 1),
-    "sim.seed": (1, 1),
     "sim.control_bits": (1, 1),
     "sim.idle_power": (1, 1),
     "sim.initial_energy": (1, 1),
-    "probe.mode": (1, 1),
     "comparison.background_nodes": (1, 1),
     "output.dir": (1, 1),
 }
@@ -209,11 +205,9 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         max_paths=_one(raw, lines, "field.max_paths", int, default=5),
         redundant_fraction=_one(raw, lines, "field.redundant_fraction", float, default=0.05),
         max_attempts=_one(raw, lines, "sim.max_attempts", int, default=5),
-        seed=_one(raw, lines, "sim.seed", int, default=0),
         control_bits=_one(raw, lines, "sim.control_bits", float, default=100.0),
         idle_power=_one(raw, lines, "sim.idle_power", float, default=0.0),
         initial_energy=_one(raw, lines, "sim.initial_energy", float, default=23760.0),
-        probe_mode=_one(raw, lines, "probe.mode", str, default="analytic"),
         background_nodes=_one(raw, lines, "comparison.background_nodes", int, default=0),
         out_dir=_one(raw, lines, "output.dir", str, default="out"),
     )
@@ -244,20 +238,27 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         if cfg.redundant < 0:
             raise ScenarioError("redundant count must be >= 0", "paths.redundant",
                                 lines.get("paths.redundant"))
-    else:
-        if cfg.field_nodes < 2:
-            raise ScenarioError("field needs at least 2 nodes", "field.nodes",
-                                lines["field.nodes"])
-    if cfg.probe_mode not in ("analytic", "probed"):
-        raise ScenarioError(f"probe mode must be analytic or probed, got {cfg.probe_mode!r}",
-                            "probe.mode", lines.get("probe.mode"))
-    if cfg.max_attempts < 1:
-        raise ScenarioError("max attempts must be >= 1", "sim.max_attempts",
-                            lines.get("sim.max_attempts"))
-    if cfg.background_nodes < 0:
-        raise ScenarioError("background node count must be >= 0",
-                            "comparison.background_nodes",
-                            lines.get("comparison.background_nodes"))
+    checks = [
+        (cfg.max_attempts >= 1, "sim.max_attempts", "max attempts must be >= 1"),
+        (cfg.control_bits >= 0, "sim.control_bits", "control bits must be >= 0"),
+        (cfg.idle_power >= 0, "sim.idle_power", "idle power must be >= 0"),
+        (cfg.initial_energy > 0, "sim.initial_energy", "initial energy must be > 0"),
+        (cfg.background_nodes >= 0, "comparison.background_nodes",
+         "background node count must be >= 0"),
+    ]
+    if field_mode:
+        checks += [
+            (cfg.field_nodes >= 2, "field.nodes", "field needs at least 2 nodes"),
+            (min(cfg.area) > 0, "field.area", "area dimensions must be > 0"),
+            (cfg.radio_range > 0, "field.radio_range", "radio range must be > 0"),
+            (0.0 <= cfg.redundant_fraction <= 1.0, "field.redundant_fraction",
+             "redundant fraction must be in [0, 1]"),
+            (cfg.max_paths >= 1, "field.max_paths", "max paths must be >= 1"),
+            (cfg.source != cfg.sink, "field.sink", "source and sink must differ"),
+        ]
+    for ok, key, message in checks:
+        if not ok:
+            raise ScenarioError(message, key, lines.get(key))
 
     for lineno, values in fault_lines:
         if len(values) < 3:
@@ -351,8 +352,7 @@ def build_network(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTable, int
     g.nodes[cfg.source].is_redundant = False
     g.nodes[cfg.sink].is_redundant = False
     table = build_routing_table(g, cfg.source, [cfg.sink], cfg.link,
-                                max_paths=cfg.max_paths, mode=cfg.probe_mode,
-                                packet_bits=cfg.ep.S)
+                                max_paths=cfg.max_paths, packet_bits=cfg.ep.S)
     if not table.routes_for(cfg.sink):
         raise ScenarioError(
             f"no route from node {cfg.source} to node {cfg.sink} in the deployed field",

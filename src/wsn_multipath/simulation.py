@@ -5,7 +5,9 @@ after the previous one reached the sink, so a fault-free path finishes its
 share in exactly packets * tau * hops seconds. Every node that handles a
 packet pays one transmit and one receive charge (the source receives from the
 sensing stage, the sink transmits the handoff), which makes the communication
-energy of a path equal to the closed-form traffic term.
+energy of a path equal to the closed-form traffic term. When the round ends,
+every alive node of the route fabric pays idle power for the round minus its
+time on air; sensing is priced by the comparison harness.
 
 Fault handling mirrors a two-sided detection protocol. The receiver of a hop
 arms a timer for m*tau past the expected arrival; a sender that fails m
@@ -35,13 +37,9 @@ __all__ = [
     "FaultScript",
     "FaultRecord",
     "FaultCase",
-    "FaultClassification",
     "SimConfig",
     "TransferReport",
     "TransferActiveError",
-    "classify_fault",
-    "recover_and_resume",
-    "account_idle_and_sensing",
     "run_transfer",
 ]
 
@@ -102,12 +100,11 @@ class NodeLedger:
     tx: _Kahan = field(default_factory=_Kahan)
     rx: _Kahan = field(default_factory=_Kahan)
     idle: _Kahan = field(default_factory=_Kahan)
-    sensing: _Kahan = field(default_factory=_Kahan)
     busy: float = 0.0
 
     @property
     def consumed(self) -> float:
-        return self.tx.value + self.rx.value + self.idle.value + self.sensing.value
+        return self.tx.value + self.rx.value + self.idle.value
 
     @property
     def residual(self) -> float:
@@ -150,9 +147,6 @@ class EnergyLedger:
     def charge_idle(self, node_id: int, joules: float):
         self.ensure(node_id).idle.add(joules)
 
-    def charge_sensing(self, node_id: int, joules: float):
-        self.ensure(node_id).sensing.add(joules)
-
     def residual(self, node_id: int) -> float:
         return self.nodes[node_id].residual
 
@@ -162,10 +156,6 @@ class EnergyLedger:
 
     def total(self, component: str) -> float:
         return math.fsum(getattr(led, component).value for led in self.nodes.values())
-
-    @property
-    def total_consumed(self) -> float:
-        return math.fsum(led.consumed for led in self.nodes.values())
 
 
 @dataclass(frozen=True)
@@ -198,44 +188,11 @@ class FaultCase(Enum):
     HOP_UNREACHABLE = 2  # sender healthy, next hop unreachable; beacon detects
 
 
-@dataclass(frozen=True)
-class FaultClassification:
-    case: FaultCase
-    beacon_neighbor: int | None
-
-
 def _beacon_neighbor(g: TopologyGraph, sender: int, avoid: int) -> int | None:
     for nid in g.neighbors(sender):
         if nid != avoid:
             return nid
     return None
-
-
-def classify_fault(g: TopologyGraph, sender: int, receiver: int) -> FaultClassification:
-    """Decide which side of a broken hop is at fault.
-
-    A dead sender is case 1 outright. Otherwise the sender verifies its own
-    radio against the lowest-id alive neighbor; a successful round trip
-    shifts the blame to the receiver side (case 2). With no neighbor to ask,
-    classification falls back to case 1.
-    """
-    if sender not in g or not g.nodes[sender].alive:
-        return FaultClassification(FaultCase.NODE_SILENT, None)
-    c = _beacon_neighbor(g, sender, avoid=receiver)
-    if c is None:
-        return FaultClassification(FaultCase.NODE_SILENT, None)
-    return FaultClassification(FaultCase.HOP_UNREACHABLE, c)
-
-
-def recover_and_resume(g: TopologyGraph, table: RoutingTable, failed_id: int,
-                       initiator: int) -> int:
-    """Swap ``failed_id`` for the spare nearest the detecting node.
-
-    Returns the replacement id; raises UnrecoverableFailureError when the
-    redundant pool is exhausted. Timing and energy charges for the live
-    protocol are handled by the engine; this is the route-surgery core.
-    """
-    return replace_failed_node(g, failed_id, table, near=initiator)
 
 
 @dataclass(frozen=True)
@@ -253,7 +210,6 @@ class FaultRecord:
 @dataclass(frozen=True)
 class SimConfig:
     max_attempts: int = 5
-    seed: int = 0
     control_bits: float = 100.0
     idle_power: float = 0.0
     trace: bool = False
@@ -294,7 +250,6 @@ class _PathRun:
 class TransferReport:
     distribution: Distribution
     m: int
-    seed: int
     completion_time: float = 0.0
     path_delays: dict[int, float] = field(default_factory=dict)
     delivered: dict[int, int] = field(default_factory=dict)
@@ -318,7 +273,7 @@ class TransferReport:
         return math.fsum(self.ledger.comm_for_path(p) for p in self.path_delays)
 
     def to_text(self) -> str:
-        out = [f"transfer packets={self.distribution.total} m={self.m} seed={self.seed}"]
+        out = [f"transfer packets={self.distribution.total} m={self.m}"]
         for pid in sorted(self.path_delays):
             d = self.path_delays[pid]
             delay = "failed" if math.isinf(d) else f"{d:.10g}"
@@ -335,30 +290,8 @@ class TransferReport:
         out.append(f"completion {self.completion_time:.10g}")
         out.append(
             f"energy tx={self.ledger.total('tx'):.10g} rx={self.ledger.total('rx'):.10g} "
-            f"idle={self.ledger.total('idle'):.10g} sensing={self.ledger.total('sensing'):.10g}")
+            f"idle={self.ledger.total('idle'):.10g}")
         return "\n".join(out) + "\n"
-
-
-def account_idle_and_sensing(ledger: EnergyLedger, duration: float,
-                             g: TopologyGraph, active_nodes: set[int],
-                             ep: EnergyParams, idle_power: float) -> EnergyLedger:
-    """Post-run charges for the non-traffic components of a round.
-
-    Every alive node senses for the whole window (K_r * duration). Nodes with
-    their radio up (the route fabric) additionally idle for the window minus
-    their time on air.
-    """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    for node in g.nodes.values():
-        if not node.alive:
-            continue
-        led = ledger.ensure(node.id, initial=node.residual_energy)
-        ledger.charge_sensing(node.id, ep.K_r * duration)
-        if node.id in active_nodes:
-            ledger.charge_idle(node.id, idle_power * max(0.0, duration - led.busy))
-        node.residual_energy = led.initial - led.consumed
-    return ledger
 
 
 class _Engine:
@@ -505,7 +438,7 @@ class _Engine:
                             "source/sink cannot be replaced")
             return
         try:
-            spare = recover_and_resume(self.g, self.table, failed, initiator)
+            spare = replace_failed_node(self.g, failed, self.table, near=initiator)
         except UnrecoverableFailureError:
             self._fail_path(t, pr, case, failed, initiator, "")
             return
@@ -642,7 +575,10 @@ class _Engine:
         last_key = (-1.0, -1)
         while self.heap:
             time, seq, ev = heapq.heappop(self.heap)
-            assert (time, seq) > last_key, "event order went backwards"
+            if (time, seq) <= last_key:
+                raise RuntimeError(
+                    f"event order went backwards on path {ev.path_id}: "
+                    f"(t={time!r}, seq={seq}) popped after {last_key!r}")
             last_key = (time, seq)
             self.last_time = time
             if self.config.trace:
@@ -665,12 +601,15 @@ class _Engine:
             elif ev.kind is EventKind.TIMER_EXPIRE:
                 self._on_timer(ev, pr)
         report = TransferReport(distribution=self.dist, m=self.config.max_attempts,
-                                seed=self.config.seed, ledger=self.ledger)
+                                ledger=self.ledger)
         for pid in sorted(self.paths):
             pr = self.paths[pid]
             if pr.state == _RUNNING:
                 raise RuntimeError(f"path {pid} stalled without detection")
-            assert pr.delivered + pr.dropped == pr.total, "packet conservation broken"
+            if pr.delivered + pr.dropped != pr.total:
+                raise RuntimeError(
+                    f"packet conservation broken on path {pid}: delivered "
+                    f"{pr.delivered} + dropped {pr.dropped} != allocated {pr.total}")
             report.delivered[pid] = pr.delivered
             report.dropped[pid] = pr.dropped
             report.retransmissions[pid] = pr.retrans
@@ -684,6 +623,12 @@ class _Engine:
         report.fault_records = self.records
         report.trace_lines = self.trace
         report.fabric_nodes = tuple(sorted(self.fabric))
+        # fabric radios idle for the round minus their time on air
+        for nid in report.fabric_nodes:
+            if self._alive(nid):
+                busy = self.ledger.nodes[nid].busy
+                self.ledger.charge_idle(nid, self.config.idle_power
+                                        * max(0.0, report.completion_time - busy))
         for nid, led in self.ledger.nodes.items():
             node = self.g.nodes.get(nid)
             if node is not None:

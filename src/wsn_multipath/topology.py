@@ -56,9 +56,6 @@ class TopologyGraph:
             self.nodes[n.id] = n
         self.radio_range = radio_range
         self.disabled_links: set[frozenset[int]] = set()
-        # per-direction link parameter overrides, consulted by probed
-        # parameter estimation; key (u, v) applies to traffic u -> v
-        self.link_overrides: dict[tuple[int, int], object] = {}
         self.version = 1
         self._adjacency: dict[int, list[int]] | None = None
 

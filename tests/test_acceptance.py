@@ -25,7 +25,6 @@ from wsn_multipath import (
     Scheme,
     ScenarioConfig,
     SimConfig,
-    account_idle_and_sensing,
     allocate,
     average_edp,
     build_network,
@@ -326,10 +325,8 @@ def test_criterion_9_energy_conservation_and_allocation_totals(bench_cfg):
         profiles = [r.profile for r in table.routes_for(sink)]
         dist = allocate(Scheme.ADAPTIVE, bench_cfg.ep, profiles, 100)
         rep = run_transfer(g, table, dist, bench_cfg.ep, bench_cfg.link,
+                           config=SimConfig(idle_power=bench_cfg.idle_power),
                            destination=sink)
-        account_idle_and_sensing(rep.ledger, rep.completion_time, g,
-                                 set(rep.fabric_nodes), bench_cfg.ep,
-                                 bench_cfg.idle_power)
         nodes_checked = 0
         for nid, led in rep.ledger.nodes.items():
             assert g.node(nid).residual_energy == led.initial - led.consumed
@@ -344,9 +341,8 @@ def test_criterion_9_energy_conservation_and_allocation_totals(bench_cfg):
         frep = run_transfer(fg, ftable, fdist, fcfg.ep, fcfg.link,
                             faults=FaultScript([FaultEvent(
                                 time=0.05, kind="node_fail", target=3)]),
+                            config=SimConfig(idle_power=409.6e-6),
                             destination=fsink)
-        account_idle_and_sensing(frep.ledger, frep.completion_time, fg,
-                                 set(frep.fabric_nodes), fcfg.ep, 409.6e-6)
         for nid, led in frep.ledger.nodes.items():
             assert fg.node(nid).residual_energy == led.initial - led.consumed
             nodes_checked += 1

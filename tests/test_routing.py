@@ -110,27 +110,10 @@ class TestEstimate:
     def test_analytic_kilobit(self):
         g = graph_from({0: (0, 0), 1: (50, 0), 2: (100, 0)}, radio=60.0)
         r = Route(path_id=1, nodes=(0, 1, 2))
-        prof = estimate_path_params(g, r, LinkParams(b=50000.0), mode="analytic")
+        prof = estimate_path_params(g, r, LinkParams(b=50000.0))
         assert prof.tau == 0.02
         assert prof.H == 2
         assert prof.T_dist == 100.0
-
-    def test_probed_matches_analytic_on_uniform_links(self):
-        g = graph_from({0: (0, 0), 1: (50, 0), 2: (100, 0)}, radio=60.0)
-        r = Route(path_id=1, nodes=(0, 1, 2))
-        link = LinkParams(b=50000.0, l=0.001)
-        a = estimate_path_params(g, r, link, mode="analytic")
-        p = estimate_path_params(g, r, link, mode="probed")
-        assert p.tau == pytest.approx(a.tau, rel=1e-12)
-
-    def test_probed_uses_directional_overrides(self):
-        g = graph_from({0: (0, 0), 1: (50, 0), 2: (100, 0)}, radio=60.0)
-        # the reverse direction of hop 1->0 is slower
-        g.link_overrides[(1, 0)] = LinkParams(b=50000.0, l=0.01)
-        r = Route(path_id=1, nodes=(0, 1, 2))
-        prof = estimate_path_params(g, r, LinkParams(b=50000.0), mode="probed")
-        # rtt = 4 * 0.02 + 0.01, halved over 2 hops
-        assert prof.tau == pytest.approx((4 * 0.02 + 0.01) / 4, rel=1e-12)
 
     def test_dead_node_raises_stale(self):
         g = graph_from({0: (0, 0), 1: (50, 0), 2: (100, 0)}, radio=60.0)
@@ -138,12 +121,6 @@ class TestEstimate:
         r = Route(path_id=1, nodes=(0, 1, 2))
         with pytest.raises(StaleRouteError):
             estimate_path_params(g, r, LinkParams(b=50000.0))
-
-    def test_unknown_mode(self):
-        g = graph_from({0: (0, 0), 1: (100, 0)}, radio=150.0)
-        r = Route(path_id=1, nodes=(0, 1))
-        with pytest.raises(ValueError):
-            estimate_path_params(g, r, LinkParams(b=50000.0), mode="guess")
 
 
 class TestRoutingTable:

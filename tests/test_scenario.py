@@ -27,8 +27,6 @@ class TestParsing:
         assert cfg.control_bits == 100.0
         assert cfg.ep.k == 2.0
         assert cfg.ep.T_1b == 2e-5
-        assert cfg.probe_mode == "analytic"
-        assert cfg.seed == 0
 
     def test_single_tau_broadcasts(self):
         cfg = parse_scenario("""
@@ -154,6 +152,33 @@ energy.k_r 0.01
 """)
         assert e.field == "paths.tau"
 
+    RANGE_BASE = """field.nodes 120
+packets 30
+link.bit_rate 50000
+energy.e_t 0.1
+energy.e_r 0.1
+energy.k_r 0.01
+"""
+
+    @pytest.mark.parametrize("key, value", [
+        ("field.radio_range", "0"),
+        ("field.radio_range", "-5"),
+        ("field.area", "0 80"),
+        ("field.area", "80 -1"),
+        ("field.redundant_fraction", "1.5"),
+        ("field.redundant_fraction", "-0.1"),
+        ("field.max_paths", "0"),
+        ("field.sink", "0"),  # same as the default source
+        ("sim.idle_power", "-1e-4"),
+        ("sim.control_bits", "-100"),
+        ("sim.initial_energy", "0"),
+        ("sim.initial_energy", "-3"),
+    ])
+    def test_out_of_range_value_reports_field_and_line(self, key, value):
+        e = self.err(self.RANGE_BASE + f"{key} {value}\n")
+        assert e.field == key
+        assert e.line == 7
+
 
 class TestSynthesizedTopology:
     def test_node_count_matches_hops(self, bench_scenario_text):
@@ -213,9 +238,3 @@ energy.k_r 0.01
         cfg = parse_scenario(self.FIELD.replace("field.sink 119", "field.sink 500"))
         with pytest.raises(ScenarioError):
             build_network(cfg)
-
-    def test_probed_mode(self):
-        cfg = parse_scenario(self.FIELD + "probe.mode probed\n")
-        g, table, s, t = build_network(cfg)
-        for r in table.routes_for(t):
-            assert r.profile.tau == pytest.approx(0.02, rel=1e-9)

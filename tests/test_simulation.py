@@ -10,14 +10,14 @@ from wsn_multipath import (
     FaultScript,
     LinkParams,
     Node,
+    PathProfile,
+    Route,
+    RoutingTable,
     Scheme,
     SimConfig,
     TopologyGraph,
-    account_idle_and_sensing,
     allocate,
     build_network,
-    classify_fault,
-    deploy_field,
     parse_scenario,
     path_energy,
     run_transfer,
@@ -233,64 +233,57 @@ class TestDeterminism:
 
 
 class TestClassifyFault:
-    def test_dead_sender_is_case_one(self):
-        g = deploy_field((10.0, 10.0), 6, seed=1, radio_range=20.0)
-        g.fail_node(2)
-        assert classify_fault(g, 2, 3).case is FaultCase.NODE_SILENT
-
-    def test_live_sender_with_neighbor_is_case_two(self):
-        g = deploy_field((10.0, 10.0), 6, seed=1, radio_range=20.0)
-        g.fail_node(3)
-        res = classify_fault(g, 2, 3)
-        assert res.case is FaultCase.HOP_UNREACHABLE
-        assert res.beacon_neighbor == 0  # lowest id alive
-
     def test_isolated_sender_falls_back_to_case_one(self):
-        nodes = [Node(id=0, position=(0, 0), residual_energy=1.0),
-                 Node(id=1, position=(1, 0), residual_energy=1.0)]
+        # the sender's only neighbour is the receiver, so once their link
+        # breaks it has nobody to verify its radio with and takes the blame
+        nodes = [Node(id=0, position=(0, 0), residual_energy=10.0),
+                 Node(id=2, position=(1, 0), residual_energy=10.0),
+                 Node(id=1, position=(2, 0), residual_energy=10.0),
+                 Node(id=3, position=(1.5, -1), residual_energy=10.0,
+                      is_redundant=True)]
         g = TopologyGraph(nodes, radio_range=1.5)
-        g.fail_node(1)
-        res = classify_fault(g, 0, 1)
-        assert res.case is FaultCase.NODE_SILENT
-        assert res.beacon_neighbor is None
+        profile = PathProfile(path_id=1, H=2, tau=TAU, T_dist=2.0)
+        table = RoutingTable(source=0, entries={1: [Route(1, (0, 2, 1), profile)]},
+                             version=g.version)
+        dist = Distribution(scheme=Scheme.SINGLE_PATH, allocations=((1, 1),), total=1)
+        ep = EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024)
+        faults = FaultScript([FaultEvent(time=0.0, kind="link_fail", target=(0, 2))])
+        rep = run_transfer(g, table, dist, ep, LinkParams(b=50000.0),
+                           faults=faults, destination=1)
+        driving = [fr for fr in rep.fault_records if fr.drove_recovery]
+        assert len(driving) == 1
+        fr = driving[0]
+        assert fr.case is FaultCase.NODE_SILENT
+        assert (fr.failed_node, fr.initiator) == (0, 0)
+        assert fr.note == "source/sink cannot be replaced"
+        assert rep.failed_paths == [1]
 
 
 class TestAccounting:
-    def test_field_wide_sensing(self):
-        g = deploy_field((300.0, 300.0), 1000, seed=1)
-        ep = EnergyParams(e_t=0.1, e_d=0.0, e_r=0.1, K_r=0.024)
-        from wsn_multipath import EnergyLedger
-        led = EnergyLedger()
-        account_idle_and_sensing(led, 1.0, g, set(), ep, idle_power=0.0)
-        assert led.total("sensing") == pytest.approx(24.0, rel=1e-9)
-
-    def test_off_path_node_senses_only(self):
-        g = deploy_field((10.0, 10.0), 2, seed=1, initial_energy=10.0)
-        ep = EnergyParams(e_t=0.1, e_d=0.0, e_r=0.1, K_r=0.024)
-        from wsn_multipath import EnergyLedger
-        led = EnergyLedger()
-        account_idle_and_sensing(led, 3.6, g, {0}, ep, idle_power=409.6e-6)
-        # node 1 is off the fabric: sensing only
-        assert led.nodes[1].sensing.value == pytest.approx(0.0864, rel=1e-9)
-        assert led.nodes[1].idle.value == 0.0
-        # node 0 idles for the window minus (zero) air time
-        assert led.nodes[0].idle.value == pytest.approx(409.6e-6 * 3.6, rel=1e-9)
+    def test_off_path_node_does_not_idle(self):
+        cfg, g, table, dist, t = single_path_net(packets=1, spares=1)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
+                           config=SimConfig(idle_power=409.6e-6), destination=t)
+        # spare 6 never joins the fabric: no idle and no traffic charges
+        assert 6 not in rep.fabric_nodes
+        assert rep.ledger.nodes[6].consumed == 0.0
+        # the source idles for the 5-hop round minus its one hop on air
+        assert rep.ledger.nodes[0].idle.value == pytest.approx(
+            409.6e-6 * (5 * TAU - TAU), rel=1e-9)
 
     def test_busy_time_subtracted_from_idle(self, bench_scenario_text):
         cfg, g, table, profiles, t = bench_net(bench_scenario_text)
         dist = allocate(Scheme.SINGLE_PATH, cfg.ep, profiles, 100)
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
-        account_idle_and_sensing(rep.ledger, rep.completion_time, g,
-                                 set(rep.fabric_nodes), cfg.ep, 409.6e-6)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
+                           config=SimConfig(idle_power=409.6e-6), destination=t)
         idle = math.fsum(rep.ledger.nodes[n].idle.value for n in rep.fabric_nodes)
         assert idle == pytest.approx(0.237568, rel=1e-6)
 
     def test_residual_write_back_consistent(self):
         cfg, g, table, dist, t = single_path_net(packets=5)
         initial = {n.id: n.residual_energy for n in g.nodes.values()}
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
-        account_idle_and_sensing(rep.ledger, rep.completion_time, g,
-                                 set(rep.fabric_nodes), cfg.ep, 409.6e-6)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
+                           config=SimConfig(idle_power=409.6e-6), destination=t)
         for nid, led in rep.ledger.nodes.items():
             assert led.initial == initial[nid]
             # the write-back stores exactly initial minus the ledger sum
