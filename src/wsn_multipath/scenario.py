@@ -254,6 +254,10 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
             (0.0 <= cfg.redundant_fraction <= 1.0, "field.redundant_fraction",
              "redundant fraction must be in [0, 1]"),
             (cfg.max_paths >= 1, "field.max_paths", "max paths must be >= 1"),
+            (0 <= cfg.source < cfg.field_nodes, "field.source",
+             f"source must be a node id in [0, {cfg.field_nodes})"),
+            (0 <= cfg.sink < cfg.field_nodes, "field.sink",
+             f"sink must be a node id in [0, {cfg.field_nodes})"),
             (cfg.source != cfg.sink, "field.sink", "source and sink must differ"),
         ]
     for ok, key, message in checks:
@@ -345,10 +349,9 @@ def build_network(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTable, int
                      radio_range=cfg.radio_range,
                      redundant_fraction=cfg.redundant_fraction,
                      initial_energy=cfg.initial_energy)
-    for nid in (cfg.source, cfg.sink):
+    for key, nid in (("field.source", cfg.source), ("field.sink", cfg.sink)):
         if nid not in g:
-            raise ScenarioError(f"node {nid} not in deployed field",
-                                field_name="field.source")
+            raise ScenarioError(f"node {nid} not in deployed field", field_name=key)
     g.nodes[cfg.source].is_redundant = False
     g.nodes[cfg.sink].is_redundant = False
     table = build_routing_table(g, cfg.source, [cfg.sink], cfg.link,

@@ -15,6 +15,12 @@ delivery attempts pings a neighbor to check its own radio. Whichever check
 concludes first drives recovery, the other is logged as a non-driving
 detection. Recovery swaps the unreachable node for the nearest redundant
 spare and resumes from the last holder of the packet.
+
+Between disruptions the engine advances every path in one window instead of
+stepping four events per hop; ``window.py`` holds that shortcut, which is
+bit-identical to stepping. Events are stepped one at a time around
+disruptions, and throughout when ``SimConfig.trace`` is set, so a trace
+still records every event.
 """
 
 from __future__ import annotations
@@ -129,20 +135,22 @@ class EnergyLedger:
         return self.path_comm[path_id]
 
     def charge_tx(self, node_id: int, joules: float, busy: float = 0.0,
-                  path_id: int | None = None):
+                  path_id: int | None = None) -> NodeLedger:
         led = self.ensure(node_id)
         led.tx.add(joules)
         led.busy += busy
         if path_id is not None:
             self._path(path_id).add(joules)
+        return led
 
     def charge_rx(self, node_id: int, joules: float, busy: float = 0.0,
-                  path_id: int | None = None):
+                  path_id: int | None = None) -> NodeLedger:
         led = self.ensure(node_id)
         led.rx.add(joules)
         led.busy += busy
         if path_id is not None:
             self._path(path_id).add(joules)
+        return led
 
     def charge_idle(self, node_id: int, joules: float):
         self.ensure(node_id).idle.add(joules)
@@ -217,13 +225,19 @@ class SimConfig:
 
 _RUNNING, _FAILED, _DONE = "running", "failed", "done"
 
+# Pops between fast-forward attempts: the first value after a window that
+# advanced, doubling up to the cap while attempts advance nothing.
+_FF_RETRY, _FF_RETRY_MAX = 16, 1024
+
 
 class _PathRun:
     def __init__(self, path_id: int, nodes: list[int], profile: PathProfile,
-                 total: int, base_pkt: int):
+                 total: int, base_pkt: int, j_tx: float, j_ctrl_tx: float):
         self.path_id = path_id
         self.nodes = nodes
         self.profile = profile
+        self.j_tx = j_tx              # joules to send one data packet one hop
+        self.j_ctrl_tx = j_ctrl_tx    # joules to send one control message
         self.total = total
         self.base_pkt = base_pkt
         self.sent = 0
@@ -233,6 +247,7 @@ class _PathRun:
         self.state = _RUNNING if total > 0 else _DONE
         self.pkt: int | None = None
         self.hop = 0          # current hop index: nodes[hop] -> nodes[hop+1]
+        self.hop_start = 0.0  # send time of the current hop
         self.attempt = 0
         self.instance = 0     # bumped on every fresh hop start
         self.hop_done = False
@@ -240,6 +255,7 @@ class _PathRun:
         self.last_recovery_instance: int | None = None
         self.delivery_time = 0.0
         self.resolved_time = 0.0
+        self.intact_version: int | None = None  # graph version the route was checked at
 
     @property
     def hops(self) -> int:
@@ -306,6 +322,8 @@ class _Engine:
         self.link = link
         self.config = config
         self.tau_ctrl = per_hop_delay(config.control_bits, link)
+        self.j_rx = ep.e_r * ep.T_2b * ep.S
+        self.j_ctrl_rx = ep.e_r * ep.T_2b * config.control_bits
         dest = destination if destination is not None else table.single_destination()
         routes = {r.path_id: r for r in table.routes_for(dest)}
         self.paths: dict[int, _PathRun] = {}
@@ -316,7 +334,11 @@ class _Engine:
             r = routes[pid]
             if r.profile is None:
                 raise ValueError(f"route {pid} has no estimated parameters")
-            self.paths[pid] = _PathRun(pid, list(r.nodes), r.profile, packets, base)
+            power = ep.amplified_tx_power(r.profile.hop_distance)
+            self.paths[pid] = _PathRun(
+                pid, list(r.nodes), r.profile, packets, base,
+                j_tx=power * ep.T_1b * ep.S,
+                j_ctrl_tx=power * ep.T_1b * config.control_bits)
             base += packets
         self.heap: list[tuple[float, int, SimEvent]] = []
         self.seq = 0
@@ -329,49 +351,41 @@ class _Engine:
         self.fabric: set[int] = set()
         for pr in self.paths.values():
             self.fabric.update(pr.nodes)
-        self.last_time = 0.0
         if faults:
             for fe in faults.sorted_events():
                 self._push(fe.time, EventKind.FAULT_TRIGGER, payload=fe)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _push(self, time: float, kind: EventKind, **kw) -> SimEvent:
+    def _push(self, time: float, kind: EventKind, **kw):
         ev = SimEvent(time=time, seq=self.seq, kind=kind, **kw)
         self.seq += 1
         heapq.heappush(self.heap, (time, ev.seq, ev))
-        return ev
 
     def _alive(self, node_id: int) -> bool:
         n = self.g.nodes.get(node_id)
         return n is not None and n.alive
 
-    def _check_death(self, node_id: int):
+    def _check_death(self, node_id: int, led: NodeLedger):
         # deplete-to-zero kills the node on the spot
-        if self._alive(node_id) and self.ledger.residual(node_id) <= 0.0:
+        if led.residual <= 0.0 and self._alive(node_id):
             self.g.fail_node(node_id)
 
     def _data_tx(self, node_id: int, pr: _PathRun, busy: float):
-        d = pr.profile.hop_distance
-        j = self.ep.amplified_tx_power(d) * self.ep.T_1b * self.ep.S
-        self.ledger.charge_tx(node_id, j, busy=busy, path_id=pr.path_id)
-        self._check_death(node_id)
+        self._check_death(node_id, self.ledger.charge_tx(
+            node_id, pr.j_tx, busy=busy, path_id=pr.path_id))
 
     def _data_rx(self, node_id: int, pr: _PathRun, busy: float):
-        j = self.ep.e_r * self.ep.T_2b * self.ep.S
-        self.ledger.charge_rx(node_id, j, busy=busy, path_id=pr.path_id)
-        self._check_death(node_id)
+        self._check_death(node_id, self.ledger.charge_rx(
+            node_id, self.j_rx, busy=busy, path_id=pr.path_id))
 
     def _ctrl_tx(self, node_id: int, pr: _PathRun):
-        d = pr.profile.hop_distance
-        j = self.ep.amplified_tx_power(d) * self.ep.T_1b * self.config.control_bits
-        self.ledger.charge_tx(node_id, j, busy=self.tau_ctrl)
-        self._check_death(node_id)
+        self._check_death(node_id, self.ledger.charge_tx(
+            node_id, pr.j_ctrl_tx, busy=self.tau_ctrl))
 
     def _ctrl_rx(self, node_id: int):
-        j = self.ep.e_r * self.ep.T_2b * self.config.control_bits
-        self.ledger.charge_rx(node_id, j, busy=self.tau_ctrl)
-        self._check_death(node_id)
+        self._check_death(node_id, self.ledger.charge_rx(
+            node_id, self.j_ctrl_rx, busy=self.tau_ctrl))
 
     # -- pipeline ---------------------------------------------------------
 
@@ -386,6 +400,7 @@ class _Engine:
 
     def _start_hop(self, t: float, pr: _PathRun):
         pr.instance += 1
+        pr.hop_start = t
         pr.attempt = 1
         pr.hop_done = False
         pr.beacon_pending = False
@@ -573,14 +588,28 @@ class _Engine:
             if pr.total > 0:
                 self._inject(0.0, pr)
         last_key = (-1.0, -1)
+        # fast-forward only between time steps, so that every event a window
+        # consumes is later than every event popped before it
+        fast = not self.config.trace
+        if fast:
+            from .window import fast_forward  # it builds on this module
+        wait, retry = 0, _FF_RETRY
         while self.heap:
+            if fast:
+                wait -= 1
+                if wait < 0 and self.heap[0][0] > last_key[0]:
+                    if fast_forward(self, self.heap[0][0]):
+                        retry = _FF_RETRY
+                    else:
+                        retry = min(2 * retry, _FF_RETRY_MAX)
+                    wait = retry
+                    continue
             time, seq, ev = heapq.heappop(self.heap)
             if (time, seq) <= last_key:
                 raise RuntimeError(
                     f"event order went backwards on path {ev.path_id}: "
                     f"(t={time!r}, seq={seq}) popped after {last_key!r}")
             last_key = (time, seq)
-            self.last_time = time
             if self.config.trace:
                 self.trace.append(ev.trace_line())
             pr = self.paths.get(ev.path_id) if ev.path_id is not None else None

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from wsn_multipath import bundled_scenario_path
@@ -52,6 +54,22 @@ class TestRun:
         out = capsys.readouterr().out
         assert code == 3
         assert "energy closeness: FAIL" in out
+
+    def test_drops_fail_every_ordering_check(self, bench_path, tmp_path, capsys):
+        # every node dies on its first charge: no scheme delivers a packet
+        scn = tmp_path / "drained.scenario"
+        scn.write_text(Path(bench_path).read_text().replace(
+            "sim.initial_energy 23760", "sim.initial_energy 1e-6"))
+        code = main(["run", str(scn), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert [ln for ln in out.splitlines() if ln.endswith(("PASS", "FAIL"))] == [
+            "delay ordering: FAIL", "energy ordering: FAIL", "energy closeness: FAIL"]
+        for label in ("single_path", "equal_split", "adaptive"):
+            assert f"warning: {label}: dropped 100 of 100 packets" in err
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "check energy_ordering FAIL" in report
+        assert "warning adaptive: dropped 100 of 100 packets" in report
 
     def test_scheme_subset(self, bench_path, tmp_path, capsys):
         code = main(["run", bench_path, "--out", str(tmp_path), "--schemes", "2"])

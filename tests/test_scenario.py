@@ -169,6 +169,10 @@ energy.k_r 0.01
         ("field.redundant_fraction", "-0.1"),
         ("field.max_paths", "0"),
         ("field.sink", "0"),  # same as the default source
+        ("field.sink", "120"),
+        ("field.sink", "5000"),
+        ("field.source", "-1"),
+        ("field.source", "120"),
         ("sim.idle_power", "-1e-4"),
         ("sim.control_bits", "-100"),
         ("sim.initial_energy", "0"),
@@ -235,6 +239,6 @@ energy.k_r 0.01
         assert all(r.profile is not None for r in routes)
 
     def test_unknown_sink_rejected(self):
-        cfg = parse_scenario(self.FIELD.replace("field.sink 119", "field.sink 500"))
-        with pytest.raises(ScenarioError):
-            build_network(cfg)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(self.FIELD.replace("field.sink 119", "field.sink 500"))
+        assert (exc.value.field, exc.value.line) == ("field.sink", 7)
