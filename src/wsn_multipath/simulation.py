@@ -16,17 +16,30 @@ concludes first drives recovery, the other is logged as a non-driving
 detection. Recovery swaps the unreachable node for the nearest redundant
 spare and resumes from the last holder of the packet.
 
-Between disruptions the engine advances every path in one window instead of
-stepping four events per hop; ``window.py`` holds that shortcut, which is
-bit-identical to stepping. Events are stepped one at a time around
-disruptions, and throughout when ``SimConfig.trace`` is set, so a trace
-still records every event.
+Between disruptions a path's progress follows from its hop time and per-hop
+charges alone, so the engine advances every path in one window instead of
+stepping four events per hop. A disruption is the next scripted fault, a
+pending beacon exchange or lost-race timer, a route with a dead node or
+broken link, a retry in progress, or a route node whose residual energy could
+reach zero. The window's flat loop applies the per-hop handlers' charges in
+the same per-path order and builds hop times by the same chain of ``t + tau``
+additions; a closed form such as ``t0 + k * H * tau`` would change the low
+bits and could move a hop across a fault scheduled on it. The source and
+sink, which every path charges, take those charges in the order stepping
+would pop the arrivals. At the window's end the in-flight hop's
+``PacketArrive``, ``AckTimeout`` and live ``TimerExpire`` go back on the heap
+in the order stepping would have pushed them, since same-time events of
+different paths pop in push order; stale events, which the handlers would
+ignore, are dropped. The result is bit-identical to stepping. Events are
+stepped one at a time around disruptions, and throughout when
+``SimConfig.trace`` is set, so a trace still records every event.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from heapq import merge
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -98,6 +111,30 @@ class _Kahan:
         t = self.value + y
         self._c = (t - self.value) - y
         self.value = t
+
+    def add_repeat(self, x: float, n: int):
+        """``add(x)`` n times, with the same rounding."""
+        v, c = self.value, self._c
+        for _ in range(n):
+            y = x - c
+            t = v + y
+            c = (t - v) - y
+            v = t
+        self.value, self._c = v, c
+
+    def add_alternate(self, x1: float, x2: float, pairs: int):
+        """``add(x1); add(x2)`` ``pairs`` times, with the same rounding."""
+        v, c = self.value, self._c
+        for _ in range(pairs):
+            y = x1 - c
+            t = v + y
+            c = (t - v) - y
+            v = t
+            y = x2 - c
+            t = v + y
+            c = (t - v) - y
+            v = t
+        self.value, self._c = v, c
 
 
 @dataclass
@@ -225,9 +262,15 @@ class SimConfig:
 
 _RUNNING, _FAILED, _DONE = "running", "failed", "done"
 
-# Pops between fast-forward attempts: the first value after a window that
-# advanced, doubling up to the cap while attempts advance nothing.
-_FF_RETRY, _FF_RETRY_MAX = 16, 1024
+# pending events that end a window at their time
+_WINDOW_STOPS = (EventKind.FAULT_TRIGGER, EventKind.BEACON_SEND,
+                 EventKind.BEACON_RESULT)
+# the pending events of a path that a window may advance: a hop about to be
+# sent, or a hop in flight, each with its receiver's live timer
+_CLEAN_HOPS = (
+    (EventKind.PACKET_SEND, EventKind.TIMER_EXPIRE),
+    (EventKind.PACKET_ARRIVE, EventKind.ACK_TIMEOUT, EventKind.TIMER_EXPIRE),
+)
 
 
 class _PathRun:
@@ -580,6 +623,217 @@ class _Engine:
         else:
             self.g.disable_link(*fe.target)
 
+    # -- fast-forward windows ---------------------------------------------
+
+    def _route_intact(self, pr: _PathRun) -> bool:
+        if pr.intact_version != self.g.version:
+            nodes = pr.nodes
+            if not all(self.g.has_edge(u, v) for u, v in zip(nodes, nodes[1:])):
+                return False
+            pr.intact_version = self.g.version
+        return True
+
+    def _depletion_horizon(self, running: list[_PathRun], now: float) -> float:
+        """A time before which no route node can spend its residual energy.
+
+        In W seconds a path of H hops delivers at most W / (H * tau) + 3
+        packets through a node, and never more than it has left; each costs
+        the node at most one data transmission plus one reception.
+        """
+        rate: dict[int, float] = {}
+        slack: dict[int, float] = {}
+        cap: dict[int, float] = {}
+        for pr in running:
+            per_packet = pr.j_tx + self.j_rx
+            per_s = per_packet / (pr.hops * pr.profile.tau)
+            left = (pr.total - pr.delivered) * per_packet
+            for n in pr.nodes:
+                rate[n] = rate.get(n, 0.0) + per_s
+                slack[n] = slack.get(n, 0.0) + 3 * per_packet
+                cap[n] = cap.get(n, 0.0) + left
+        horizon = math.inf
+        for n, per_s in rate.items():
+            budget = self.ledger.residual(n) * (1.0 - 1e-9)
+            if budget > cap[n]:
+                continue
+            budget -= slack[n]
+            if budget <= 0.0:
+                return now
+            horizon = min(horizon, now + budget / per_s)
+        return horizon
+
+    def _advance(self, pr: _PathRun, s: float, a: float, horizon: float,
+                 entry: tuple, out: list):
+        """Complete every hop of ``pr`` that arrives before ``horizon``.
+
+        The hop in flight was sent at ``s`` and arrives at ``a``. Applies the
+        charges and state changes the per-hop handlers would, except the
+        source's and sink's transmissions and busy time, which other paths
+        share: for each of those it yields ``((arrival, send time) + entry,
+        node, pr)``, in time order. Once exhausted it leaves the number of
+        arrivals and the send time of the hop now in flight (or of the last
+        one) in ``out``.
+        """
+        tau = pr.profile.tau
+        hops = pr.hops
+        source, sink = pr.nodes[0], pr.nodes[-1]
+        n = hops - pr.hop            # arrivals left for the packet in flight
+        left = pr.total - pr.sent    # packets not yet injected
+        prev = s
+        k = delivered = 0
+        last = 0.0
+        while True:
+            n0 = n
+            if n == hops and a < horizon:
+                yield (a, s) + entry, source, pr
+            while n and a < horizon:
+                prev = s
+                s = a
+                a += tau
+                n -= 1
+            k += n0 - n
+            if n:
+                break
+            yield (s, prev) + entry, sink, pr
+            delivered += 1
+            last = s
+            if delivered > left:
+                break
+            n = hops
+        out[:] = k, s
+        if not k:
+            return
+        done = delivered > left
+        injects = delivered - done
+        # arrivals per hop index; the sink's handoff and the source's
+        # acquisition ride on deliveries and injections
+        full, extra = divmod(k, hops)
+        arrivals = [full + ((h - pr.hop) % hops < extra) for h in range(hops)]
+        for i, node in enumerate(pr.nodes):
+            led = self.ledger.ensure(node)
+            n_rx = arrivals[i - 1] if i else injects
+            led.rx.add_repeat(self.j_rx, n_rx)
+            if 0 < i < hops:
+                led.tx.add_repeat(pr.j_tx, arrivals[i])
+                busy = led.busy
+                for _ in range(arrivals[i] + n_rx):
+                    busy += tau
+                led.busy = busy
+        # each arrival charges tx then rx, each delivery tx then, if it injects, rx
+        comm = self.ledger._path(pr.path_id)
+        comm.add_alternate(pr.j_tx, self.j_rx, k + injects)
+        if done:
+            comm.add(pr.j_tx)
+        pr.delivered += delivered
+        pr.sent += injects
+        if delivered:
+            pr.delivery_time = pr.resolved_time = last
+        if done:
+            pr.state = _DONE
+            pr.pkt = None
+            pr.hop = hops - 1
+            pr.hop_done = True
+            pr.instance += k - 1
+        else:
+            pr.hop = hops - n
+            pr.pkt = pr.base_pkt + pr.sent - 1
+            pr.instance += k
+            pr.hop_start = s
+
+    def _fast_forward(self, now: float) -> bool:
+        """Advance every running path through one window that ends before
+        the next possible disruption; ``now`` is the earliest pending event
+        time, and every event popped so far is earlier. Returns False, having
+        changed nothing, when no path can advance.
+        """
+        running = [self.paths[pid] for pid in sorted(self.paths)
+                   if self.paths[pid].state == _RUNNING]
+        if not all(pr.attempt == 1 and not pr.beacon_pending
+                   and self._route_intact(pr) for pr in running):
+            return False
+        horizon = self._depletion_horizon(running, now)
+        kept: list[tuple[float, int, SimEvent]] = []
+        pending: dict[int, list] = {pr.path_id: [] for pr in running}
+        for item in self.heap:
+            ev = item[2]
+            pr = self.paths.get(ev.path_id)
+            if ev.kind in _WINDOW_STOPS or (ev.kind is EventKind.TIMER_EXPIRE
+                                            and ev.instance == pr.last_recovery_instance):
+                kept.append(item)
+                horizon = min(horizon, item[0])
+            elif pr.state == _RUNNING and ev.instance == pr.instance:
+                pending[pr.path_id].append(item)
+            # anything else is stale: its handler would ignore it
+        if horizon <= now:
+            return False
+        plans = []
+        for pr in running:
+            items = sorted(pending[pr.path_id])
+            if tuple(it[2].kind for it in items) not in _CLEAN_HOPS:
+                return False
+            plans.append((pr, items))
+
+        walks, chains = [], []
+        for pr, items in plans:
+            t0, seq0, first = items[0]
+            sending = first.kind is EventKind.PACKET_SEND
+            if sending and t0 >= horizon:
+                kept.extend(items)
+                continue
+            tau = pr.profile.tau
+            s, a = (t0, t0 + tau) if sending else (pr.hop_start, t0)
+            # the sort keys order the charges and pushes as stepping would
+            # make them: by the time of the pop that makes them, arrivals
+            # before the sends they start; events that then share a time
+            # belong to paths with one tau moving in step, ordered by how
+            # each path entered the window. A path entering later had its
+            # event on the heap before an in-step path's event at that time
+            # was pushed; at one entry time a pending send precedes the send
+            # a pending arrival will start
+            entry = (-t0, not sending, seq0)
+            out = []
+            chains.append(self._advance(pr, s, a, horizon, entry, out))
+            walks.append((pr, items, sending, entry, out))
+        # the source's and sink's charges from every path, in pop order
+        for _, node, pr in merge(*chains):
+            led = self.ledger.nodes[node]
+            led.tx.add(pr.j_tx)
+            led.busy += pr.profile.tau
+        pushes = []
+        advanced = False
+        for pr, items, sending, entry, (k, s) in walks:
+            if k:
+                if pr.state == _RUNNING:
+                    pushes.append(((s, 0) + entry, pr))  # its timer
+                    pushes.append(((s, 1) + entry, pr))  # its send
+            elif sending:
+                kept.append(items[1])  # the timer stays live
+                pushes.append(((s, 1) + entry, pr))
+            else:
+                kept.extend(items)
+                continue
+            advanced = True
+        if not advanced:
+            return False
+        kept.sort()
+        self.heap[:] = kept
+        m = self.config.max_attempts
+        pushes.sort(key=lambda p: p[0])
+        for key, pr in pushes:
+            a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
+            tau = pr.profile.tau
+            arrive = pr.hop_start + tau
+            if key[1] == 0:
+                self._push(arrive + m * tau, EventKind.TIMER_EXPIRE, node_from=b,
+                           packet_id=pr.pkt, path_id=pr.path_id,
+                           instance=pr.instance)
+            else:
+                for kind in (EventKind.PACKET_ARRIVE, EventKind.ACK_TIMEOUT):
+                    self._push(arrive, kind, node_from=a, node_to=b,
+                               packet_id=pr.pkt, path_id=pr.path_id,
+                               instance=pr.instance, attempt=1)
+        return True
+
     # -- main loop --------------------------------------------------------
 
     def run(self) -> TransferReport:
@@ -588,22 +842,13 @@ class _Engine:
             if pr.total > 0:
                 self._inject(0.0, pr)
         last_key = (-1.0, -1)
-        # fast-forward only between time steps, so that every event a window
-        # consumes is later than every event popped before it
         fast = not self.config.trace
-        if fast:
-            from .window import fast_forward  # it builds on this module
-        wait, retry = 0, _FF_RETRY
         while self.heap:
-            if fast:
-                wait -= 1
-                if wait < 0 and self.heap[0][0] > last_key[0]:
-                    if fast_forward(self, self.heap[0][0]):
-                        retry = _FF_RETRY
-                    else:
-                        retry = min(2 * retry, _FF_RETRY_MAX)
-                    wait = retry
-                    continue
+            # windows start only between time steps, so that every event a
+            # window consumes is later than every event popped before it
+            if (fast and self.heap[0][0] > last_key[0]
+                    and self._fast_forward(self.heap[0][0])):
+                continue
             time, seq, ev = heapq.heappop(self.heap)
             if (time, seq) <= last_key:
                 raise RuntimeError(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from wsn_multipath import (
@@ -242,3 +244,11 @@ energy.k_r 0.01
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(self.FIELD.replace("field.sink 119", "field.sink 500"))
         assert (exc.value.field, exc.value.line) == ("field.sink", 7)
+
+    @pytest.mark.parametrize("attr", ["source", "sink"])
+    def test_node_outside_field_rejected_when_built(self, attr):
+        # a config made without the parser is still checked by build_network
+        cfg = dataclasses.replace(parse_scenario(self.FIELD), **{attr: 500})
+        with pytest.raises(ScenarioError) as exc:
+            build_network(cfg)
+        assert exc.value.field == f"field.{attr}"
