@@ -83,8 +83,9 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
 
     Ordering verdicts (adaptive fastest, single path cheapest, adaptive
     energy closer to single path than to equal split) are only produced
-    when all three schemes were requested. All three fail, with a warning
-    per scheme, when any scheme dropped packets.
+    when all three schemes were requested; all three fail when any scheme
+    dropped packets. Every scheme that dropped packets gets a warning,
+    whichever schemes ran.
     """
     runs: list[SchemeRun] = []
     warnings: list[str] = []
@@ -129,7 +130,16 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
                            background_nodes=cfg.background_nodes,
                            hops_by_path=hops_by_path,
                            warnings=warnings)
-    if {Scheme.SINGLE_PATH, Scheme.EQUAL_SPLIT, Scheme.ADAPTIVE} == {r.scheme for r in runs}:
+    # a scheme that lost packets was not measured moving the demand: its
+    # delay is when its paths failed and its energy is for a partial load
+    lossy = [r for r in runs if r.transfer.total_dropped or r.transfer.failed_paths]
+    compared = {r.scheme for r in runs} == set(Scheme)
+    for r in lossy:
+        rep.warnings.append(
+            f"{r.label}: dropped {r.transfer.total_dropped} of {r.distribution.total} "
+            f"packets on failed paths {' '.join(map(str, r.transfer.failed_paths))}"
+            + ("; ordering checks fail" if compared else ""))
+    if compared:
         one = rep.run_for(Scheme.SINGLE_PATH)
         two = rep.run_for(Scheme.EQUAL_SPLIT)
         three = rep.run_for(Scheme.ADAPTIVE)
@@ -139,14 +149,6 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
                                   <= two.total_energy)
         rep.closeness_ok = (abs(three.total_energy - one.total_energy)
                             <= abs(three.total_energy - two.total_energy))
-        # a scheme that lost packets was not measured moving the demand: its
-        # delay is when its paths failed and its energy is for a partial load
-        lossy = [r for r in runs if r.transfer.total_dropped or r.transfer.failed_paths]
-        for r in lossy:
-            rep.warnings.append(
-                f"{r.label}: dropped {r.transfer.total_dropped} of {r.distribution.total} "
-                f"packets on failed paths {' '.join(map(str, r.transfer.failed_paths))}; "
-                f"ordering checks fail")
         if lossy:
             rep.delay_ordering_ok = rep.energy_ordering_ok = rep.closeness_ok = False
     return rep

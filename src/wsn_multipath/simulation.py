@@ -14,7 +14,9 @@ arms a timer for m*tau past the expected arrival; a sender that fails m
 delivery attempts pings a neighbor to check its own radio. Whichever check
 concludes first drives recovery, the other is logged as a non-driving
 detection. Recovery swaps the unreachable node for the nearest redundant
-spare and resumes from the last holder of the packet.
+spare and resumes from the last holder of the packet. When both ends of the
+hop are dead nobody is left to detect the fault, so the path fails when the
+receiver's timer is due and its remaining packets are dropped.
 
 Between disruptions a path's progress follows from its hop time and per-hop
 charges alone, so the engine advances every path in one window instead of
@@ -298,7 +300,6 @@ class _PathRun:
         self.last_recovery_instance: int | None = None
         self.delivery_time = 0.0
         self.resolved_time = 0.0
-        self.intact_version: int | None = None  # graph version the route was checked at
 
     @property
     def hops(self) -> int:
@@ -604,11 +605,14 @@ class _Engine:
     def _on_timer(self, ev: SimEvent, pr: _PathRun):
         b = ev.node_from
         if pr.state == _RUNNING and ev.instance == pr.instance and not pr.hop_done:
-            if not self._alive(b):
-                return
             a = pr.nodes[pr.hop]
-            self._begin_recovery(ev.time, pr, FaultCase.NODE_SILENT,
-                                 failed=a, initiator=b)
+            if self._alive(b):
+                self._begin_recovery(ev.time, pr, FaultCase.NODE_SILENT,
+                                     failed=a, initiator=b)
+            elif not self._alive(a):
+                # nobody is left to detect the fault, so the path fails
+                self._fail_path(ev.time, pr, FaultCase.NODE_SILENT, a, b,
+                                "sender and receiver both failed")
         elif ev.instance == pr.last_recovery_instance and self._alive(b):
             self.records.append(FaultRecord(
                 time=ev.time, path_id=pr.path_id, case=FaultCase.NODE_SILENT,
@@ -626,12 +630,8 @@ class _Engine:
     # -- fast-forward windows ---------------------------------------------
 
     def _route_intact(self, pr: _PathRun) -> bool:
-        if pr.intact_version != self.g.version:
-            nodes = pr.nodes
-            if not all(self.g.has_edge(u, v) for u, v in zip(nodes, nodes[1:])):
-                return False
-            pr.intact_version = self.g.version
-        return True
+        nodes = pr.nodes
+        return all(self.g.has_edge(u, v) for u, v in zip(nodes, nodes[1:]))
 
     def _depletion_horizon(self, running: list[_PathRun], now: float) -> float:
         """A time before which no route node can spend its residual energy.

@@ -1,15 +1,19 @@
 """Sensor field deployment and radio-range connectivity.
 
-Nodes live on a plane; two alive nodes share an (undirected) edge when their
-distance is at most the radio range and the link has not been disabled by a
-fault. The graph is a single-writer structure: mutations bump ``version`` so
-routing tables built against an older topology can be detected as stale.
+Nodes live on a plane. The graph keeps one adjacency: for each alive node,
+its alive neighbours within the radio range in ascending id order, built from
+the positions once, with a k-d tree, when the graph is made. Failures and
+link cuts then edit it in place; nothing is rebuilt. ``neighbors`` and
+``has_edge`` both read it, so route discovery, beacons and the transfer
+engine share one rule for "u and v are linked". The graph is a single-writer
+structure: mutations bump ``version`` so routing tables built against an
+older topology can be detected as stale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -55,9 +59,16 @@ class TopologyGraph:
                 raise ValueError(f"duplicate node id {n.id}")
             self.nodes[n.id] = n
         self.radio_range = radio_range
-        self.disabled_links: set[frozenset[int]] = set()
         self.version = 1
-        self._adjacency: dict[int, list[int]] | None = None
+        ids = sorted(self.alive_ids())
+        self._adjacency: dict[int, list[int]] = {i: [] for i in ids}
+        if len(ids) > 1:
+            pts = np.array([self.nodes[i].position for i in ids])
+            for a, b in cKDTree(pts).query_pairs(radio_range):
+                self._adjacency[ids[a]].append(ids[b])
+                self._adjacency[ids[b]].append(ids[a])
+        for nbrs in self._adjacency.values():
+            nbrs.sort()
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -72,63 +83,33 @@ class TopologyGraph:
         (x1, y1), (x2, y2) = self.nodes[u].position, self.nodes[v].position
         return math.hypot(x1 - x2, y1 - y2)
 
-    def _build_adjacency(self) -> dict[int, list[int]]:
-        ids = sorted(self.alive_ids())
-        adj: dict[int, list[int]] = {i: [] for i in ids}
-        if len(ids) > 1:
-            pts = np.array([self.nodes[i].position for i in ids])
-            tree = cKDTree(pts)
-            for a, b in tree.query_pairs(self.radio_range):
-                u, v = ids[a], ids[b]
-                if frozenset((u, v)) not in self.disabled_links:
-                    adj[u].append(v)
-                    adj[v].append(u)
-        for i in ids:
-            adj[i].sort()
-        return adj
-
     def neighbors(self, u: int) -> list[int]:
-        """Alive neighbors of u in ascending id order."""
-        if self._adjacency is None:
-            self._adjacency = self._build_adjacency()
+        """Alive neighbors of u in ascending id order (do not modify)."""
         return self._adjacency.get(u, [])
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = self.nodes.get(u), self.nodes.get(v)
-        if a is None or b is None or not (a.alive and b.alive):
-            return False
-        if frozenset((u, v)) in self.disabled_links:
-            return False
-        return self.distance(u, v) <= self.radio_range
-
-    def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
-
-    def _touch(self):
-        self.version += 1
-        self._adjacency = None
+        return v in self._adjacency.get(u, ())
 
     def fail_node(self, node_id: int):
         node = self.nodes[node_id]
         if node.alive:
             node.status = FAILED
-            self._touch()
+            for v in self._adjacency.pop(node_id):
+                self._adjacency[v].remove(node_id)
+            self.version += 1
 
     def disable_link(self, u: int, v: int):
-        key = frozenset((u, v))
-        if key not in self.disabled_links:
-            self.disabled_links.add(key)
-            self._touch()
-
-    def link_disabled(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self.disabled_links
+        if self.has_edge(u, v):
+            self._adjacency[u].remove(v)
+            self._adjacency[v].remove(u)
+            self.version += 1
 
     def activate_spare(self, node_id: int, assumed_id: int | None = None):
         """Turn a redundant node into a regular route participant."""
         node = self.nodes[node_id]
         node.is_redundant = False
         node.assumed_id = assumed_id
-        self._touch()
+        self.version += 1
 
     def nearest_redundant(self, near: int, exclude: frozenset[int] = frozenset()) -> Node | None:
         """Closest alive redundant node to ``near``; lowest id wins ties."""

@@ -71,6 +71,20 @@ class TestRun:
         assert "check energy_ordering FAIL" in report
         assert "warning adaptive: dropped 100 of 100 packets" in report
 
+    def test_drops_warn_without_verdicts(self, bench_path, tmp_path, capsys):
+        scn = tmp_path / "drained.scenario"
+        scn.write_text(Path(bench_path).read_text().replace(
+            "sim.initial_energy 23760", "sim.initial_energy 1e-6"))
+        code = main(["run", str(scn), "--out", str(tmp_path / "out"), "--schemes", "2"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "ordering" not in out
+        warning = "equal_split: dropped 100 of 100 packets on failed paths 1 2 3 4 5"
+        assert f"warning: {warning}\n" in err
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "check delay_ordering skipped" in report
+        assert f"warning {warning}\n" in report
+
     def test_scheme_subset(self, bench_path, tmp_path, capsys):
         code = main(["run", bench_path, "--out", str(tmp_path), "--schemes", "2"])
         out = capsys.readouterr().out

@@ -190,6 +190,21 @@ class TestUnrecoverable:
         assert rep.failed_paths == [1]
         assert any("source/sink" in fr.note for fr in rep.fault_records)
 
+    def test_sender_and_receiver_both_dead_fails_path(self):
+        # hop 3 -> 4 is in flight when both ends die: no sender retries and
+        # no receiver timer detects, so the path fails when the timer is due
+        cfg, g, table, dist, t = single_path_net(packets=12, spares=2)
+        faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3),
+                              FaultEvent(time=0.05, kind="node_fail", target=4)])
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
+                           destination=t)
+        assert rep.failed_paths == [1]
+        assert (rep.delivered[1], rep.dropped[1]) == (0, 12)
+        [fr] = rep.fault_records
+        assert (fr.case, fr.failed_node, fr.initiator) == (FaultCase.NODE_SILENT, 3, 4)
+        assert fr.time == pytest.approx(3 * TAU + M * TAU, rel=1e-9)
+        assert fr.note == "sender and receiver both failed"
+
     def test_multipath_other_paths_unaffected(self, bench_scenario_text):
         cfg, g, table, profiles, t = bench_net(bench_scenario_text + "paths.redundant 1\n")
         dist = allocate(Scheme.EQUAL_SPLIT, cfg.ep, profiles, 50)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsn_multipath import (
     Node,
@@ -52,7 +53,17 @@ class TestGraphBasics:
         assert not g.has_edge(0, 1)
         assert g.has_edge(1, 2)
         # symmetric
-        assert g.link_disabled(1, 0)
+        assert not g.has_edge(1, 0)
+
+    def test_edge_at_range_boundary_follows_neighbors(self):
+        # a pair at exactly the radio range, where a direct hypot test and
+        # the k-d tree's range query once disagreed
+        nodes = [Node(id=0, position=(0.0, 0.0), residual_energy=1.0),
+                 Node(id=1, position=(1.0483280999484756, 12.164259424505179),
+                      residual_energy=1.0)]
+        g = TopologyGraph(nodes, radio_range=12.20934884225218)
+        assert g.has_edge(0, 1) == (1 in g.neighbors(0))
+        assert g.has_edge(1, 0) == (0 in g.neighbors(1))
 
     def test_repeat_failure_is_idempotent(self):
         g = grid_graph()
@@ -60,6 +71,58 @@ class TestGraphBasics:
         v = g.version
         g.fail_node(1)
         assert g.version == v
+
+
+EDITS = st.one_of(
+    st.tuples(st.just("fail_node"), st.integers(0, 9)),
+    st.tuples(st.just("disable_link"), st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.just("activate_spare"), st.integers(0, 9)),
+)
+
+
+class TestInPlaceEdits:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                    min_size=2, max_size=10),
+           st.sampled_from([1.0, 3.0, 5.0, 7.5, 20.0]),
+           st.lists(EDITS, max_size=12))
+    def test_edits_match_a_fresh_build(self, points, radio, edits):
+        # integer points put many pairs at exactly the range (3-4-5 triangles)
+        ids = range(len(points))
+        g = TopologyGraph([Node(id=i, position=(float(x), float(y)), residual_energy=1.0,
+                                is_redundant=True) for i, (x, y) in enumerate(points)],
+                          radio_range=radio)
+        dead: set[int] = set()
+        cut: set[frozenset[int]] = set()
+
+        def rebuilt():
+            # a fresh graph of the surviving nodes, less the cut pairs
+            fresh = TopologyGraph([Node(id=i, position=g.nodes[i].position,
+                                        residual_energy=1.0)
+                                   for i in ids if i not in dead], radio_range=radio)
+            return {u: [v for v in fresh.neighbors(u) if frozenset((u, v)) not in cut]
+                    for u in ids}
+
+        want = rebuilt()
+        for op, *args in edits:
+            if any(a not in g for a in args):
+                continue
+            before = g.version
+            if op == "fail_node":
+                changed = args[0] not in dead
+                dead.add(args[0])
+            elif op == "disable_link":
+                changed = args[1] in want[args[0]]
+                cut.add(frozenset(args))
+            else:
+                changed = True
+            getattr(g, op)(*args)
+            assert g.version == before + changed
+            want = rebuilt()
+            for u in ids:
+                assert g.neighbors(u) == want[u]
+                for v in ids:
+                    assert g.has_edge(u, v) == (v in g.neighbors(u))
 
 
 class TestNearestRedundant:
