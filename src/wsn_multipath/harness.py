@@ -1,13 +1,15 @@
 """Run the three distribution schemes on one scenario and compare them.
 
-Each scheme runs on a freshly built network so faults and energy drain do
-not leak between runs. Delay is the completion time of the whole transfer;
-energy is communication plus radio idling plus sensing. Sensing is priced
-over the longest round among the compared schemes, the common observation
-window: the field keeps sensing while the slowest scheme is still draining,
-so a faster transfer must not be credited for sensing time it did not save.
-Idle is priced by the engine over each scheme's own round (the radio can
-sleep once the transfer is done).
+The network is built once per comparison: one deploy, one adjacency and one
+route discovery. Each scheme then runs on its own copy of that pristine graph
+and routing table, so faults and energy drain do not leak between runs.
+Delay is the completion time of the whole transfer; energy is communication
+plus radio idling plus sensing. Sensing is priced over the longest round
+among the compared schemes, the common observation window: the field keeps
+sensing while the slowest scheme is still draining, so a faster transfer must
+not be credited for sensing time it did not save. Idle is priced by the
+engine over each scheme's own round (the radio can sleep once the transfer
+is done).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 from dataclasses import dataclass, field
 
 from .distribution import Distribution, Scheme, allocate, verify_edp_bound
+from .routing import RoutingTable
 from .scenario import ScenarioConfig, build_network
 from .simulation import SimConfig, TransferReport, run_transfer
 
@@ -90,13 +93,16 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
     runs: list[SchemeRun] = []
     warnings: list[str] = []
     fabric_count = 0
-    hops_by_path: dict[int, int] = {}
+    pristine, pristine_table, _, sink = build_network(cfg)
+    profiles = [r.profile for r in pristine_table.routes_for(sink)]
+    hops_by_path = {p.path_id: p.H for p in profiles}
     for code in cfg.schemes:
         scheme = Scheme(code)
-        g, table, source, sink = build_network(cfg)
-        routes = table.routes_for(sink)
-        profiles = [r.profile for r in routes]
-        hops_by_path.update({p.path_id: p.H for p in profiles})
+        # the engine edits the graph and swaps spares into the table's
+        # route lists (routes themselves are replaced, never changed); the
+        # graph copy is made in the call so it is freed when the run ends
+        table = RoutingTable(source=pristine_table.source, version=pristine_table.version,
+                             entries={d: rs[:] for d, rs in pristine_table.entries.items()})
         dist = allocate(scheme, cfg.ep, profiles, cfg.packets)
         if dist.infeasible:
             warnings.append(
@@ -108,7 +114,7 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
         sim_cfg = SimConfig(max_attempts=cfg.max_attempts,
                             control_bits=cfg.control_bits,
                             idle_power=cfg.idle_power, trace=cfg.trace)
-        report = run_transfer(g, table, dist, cfg.ep, cfg.link,
+        report = run_transfer(pristine.copy(), table, dist, cfg.ep, cfg.link,
                               faults=cfg.faults, config=sim_cfg,
                               destination=sink)
         fabric_count = max(fabric_count, len(report.fabric_nodes))

@@ -264,6 +264,10 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         if not ok:
             raise ScenarioError(message, key, lines.get(key))
 
+    # the ids the network will have: the field's nodes, or the synthesized
+    # layout's source, sink, path interiors and spares
+    node_count = (cfg.field_nodes if field_mode
+                  else 2 + sum(h - 1 for h in cfg.hops) + cfg.redundant)
     for lineno, values in fault_lines:
         if len(values) < 3:
             raise ScenarioError("fault needs: kind time target...", "fault", lineno)
@@ -274,15 +278,20 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         except ValueError:
             raise ScenarioError(f"cannot parse fault {' '.join(values)!r}",
                                 "fault", lineno) from None
-        try:
-            if kind == "node_fail" and len(ids) == 1:
-                cfg.faults.events.append(FaultEvent(time=t, kind=kind, target=ids[0]))
-            elif kind == "link_fail" and len(ids) == 2:
-                cfg.faults.events.append(FaultEvent(time=t, kind=kind, target=(ids[0], ids[1])))
-            else:
+        if (kind, len(ids)) not in (("node_fail", 1), ("link_fail", 2)):
+            raise ScenarioError(
+                "fault must be 'node_fail <t> <id>' or 'link_fail <t> <u> <v>'",
+                "fault", lineno)
+        for nid in ids:
+            if not 0 <= nid < node_count:
                 raise ScenarioError(
-                    "fault must be 'node_fail <t> <id>' or 'link_fail <t> <u> <v>'",
+                    f"fault target {nid} is not a node id in [0, {node_count})",
                     "fault", lineno)
+        if len(ids) == 2 and ids[0] == ids[1]:
+            raise ScenarioError("link_fail needs two different nodes", "fault", lineno)
+        try:
+            cfg.faults.events.append(FaultEvent(
+                time=t, kind=kind, target=ids[0] if len(ids) == 1 else tuple(ids)))
         except ValueError as exc:
             raise ScenarioError(str(exc), "fault", lineno) from None
     return cfg

@@ -2,12 +2,14 @@
 
 Nodes live on a plane. The graph keeps one adjacency: for each alive node,
 its alive neighbours within the radio range in ascending id order, built from
-the positions once, with a k-d tree, when the graph is made. Failures and
-link cuts then edit it in place; nothing is rebuilt. ``neighbors`` and
-``has_edge`` both read it, so route discovery, beacons and the transfer
-engine share one rule for "u and v are linked". The graph is a single-writer
-structure: mutations bump ``version`` so routing tables built against an
-older topology can be detected as stale.
+the positions once, when the graph is made: one k-d tree range query gives
+the pairs as an array, and numpy sorts and splits them into lists. Failures
+and link cuts then edit it in place; nothing is rebuilt, and ``copy`` hands
+out an independent graph in the same state without a second build.
+``neighbors`` and ``has_edge`` both read it, so route discovery, beacons and
+the transfer engine share one rule for "u and v are linked". The graph is a
+single-writer structure: mutations bump ``version`` so routing tables built
+against an older topology can be detected as stale.
 """
 
 from __future__ import annotations
@@ -61,14 +63,29 @@ class TopologyGraph:
         self.radio_range = radio_range
         self.version = 1
         ids = sorted(self.alive_ids())
-        self._adjacency: dict[int, list[int]] = {i: [] for i in ids}
-        if len(ids) > 1:
+        n = len(ids)
+        pairs = np.empty((0, 2), dtype=np.intp)
+        if n > 1:
             pts = np.array([self.nodes[i].position for i in ids])
-            for a, b in cKDTree(pts).query_pairs(radio_range):
-                self._adjacency[ids[a]].append(ids[b])
-                self._adjacency[ids[b]].append(ids[a])
-        for nbrs in self._adjacency.values():
-            nbrs.sort()
+            pairs = cKDTree(pts).query_pairs(radio_range, output_type="ndarray")
+        # each pair in both directions as one key, row * n + column, so one
+        # sort groups the pairs by node and orders each group by neighbour
+        keys = np.sort(np.concatenate((pairs[:, 0] * n + pairs[:, 1],
+                                       pairs[:, 1] * n + pairs[:, 0])))
+        flat = np.asarray(ids, dtype=np.int64)[keys % n].tolist()
+        ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
+        self._adjacency: dict[int, list[int]] = {
+            u: flat[start:end] for u, start, end in zip(ids, [0] + ends, ends)}
+
+    def copy(self) -> TopologyGraph:
+        """An independent graph in this one's state; nothing is rebuilt."""
+        g = TopologyGraph.__new__(TopologyGraph)
+        g.nodes = {i: Node(n.id, n.position, n.residual_energy, n.is_redundant,
+                           n.status, n.assumed_id) for i, n in self.nodes.items()}
+        g.radio_range = self.radio_range
+        g.version = self.version
+        g._adjacency = {u: nbrs[:] for u, nbrs in self._adjacency.items()}
+        return g
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes

@@ -105,6 +105,22 @@ class TestRun:
         assert not list(tmp_path.glob("trace_*.txt"))
 
 
+class TestBadFaultTarget:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exits_one_with_field_and_line(self, bench_path, tmp_path, capsys, command):
+        # the bundled layout has nodes 0..59; node 99 does not exist
+        text = Path(bench_path).read_text() + "fault node_fail 0.05 99\n"
+        scn = tmp_path / "bad_fault.scenario"
+        scn.write_text(text)
+        out_dir = tmp_path / "out"
+        args = [command, str(scn)] + (["--out", str(out_dir)] if command == "run" else [])
+        assert main(args) == 1  # returned, so no exception and no traceback
+        err = capsys.readouterr().err
+        assert err.startswith("error: fault target 99 ")
+        assert f"(field 'fault', line {len(text.splitlines())})" in err
+        assert not out_dir.exists()
+
+
 class TestValidate:
     def test_ok(self, bench_path, capsys):
         assert main(["validate", bench_path]) == 0

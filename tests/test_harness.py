@@ -1,14 +1,18 @@
+import dataclasses
 import math
 import os
 
 import pytest
 
 from wsn_multipath import (
+    FaultEvent,
     Scheme,
+    build_network,
     emit_outputs,
     parse_scenario,
     run_comparison,
 )
+from wsn_multipath import harness
 
 
 @pytest.fixture
@@ -129,3 +133,101 @@ class TestEmitOutputs:
         emit_outputs(run_comparison(cfg), str(b))
         for name in ("distribution.csv", "delays.csv", "energy.csv", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+FIELD_FAULTS = """
+field.nodes 1500
+field.area 300 300
+field.radio_range 24
+field.seed 3
+field.source 0
+field.sink 1
+packets 200
+link.bit_rate 50000
+energy.e_t 0.128
+energy.e_r 0.1024
+energy.k_r 0.024
+sim.idle_power 409.6e-6
+"""
+
+EXPLICIT_FAULTS = """
+paths.hops 9 22 5 20 7
+paths.tau 0.02 0.03 0.025 0.02 0.03
+paths.redundant 4
+packets 100
+link.bit_rate 50000
+energy.e_t 0.128
+energy.e_d 1e-6
+energy.e_r 0.1024
+energy.k_r 0.024
+sim.idle_power 409.6e-6
+fault node_fail 0.05 5
+fault node_fail 0.2 33
+fault link_fail 0.1 12 13
+fault link_fail 0.3 40 41
+"""
+
+
+def field_faults_config():
+    # node_fail on the middle interior node of routes 1-3, as the benchmark's
+    # field_faults workload places them
+    cfg = parse_scenario(FIELD_FAULTS)
+    _, table, _, sink = build_network(cfg)
+    for route, t in zip(table.routes_for(sink), (0.05, 0.10, 0.15)):
+        interior = route.interior
+        cfg.faults.events.append(FaultEvent(time=t, kind="node_fail",
+                                            target=interior[len(interior) // 2]))
+    return cfg
+
+
+def transfer_state(rep):
+    ledger = rep.ledger
+    return dict(
+        delivered=rep.delivered, dropped=rep.dropped,
+        retransmissions=rep.retransmissions, path_delays=rep.path_delays,
+        completion_time=rep.completion_time, failed_paths=rep.failed_paths,
+        fault_records=rep.fault_records, fabric_nodes=rep.fabric_nodes,
+        path_comm={p: (k.value, k._c) for p, k in ledger.path_comm.items()},
+        nodes={i: (led.initial, led.busy, led.tx.value, led.tx._c, led.rx.value,
+                   led.rx._c, led.idle.value, led.idle._c)
+               for i, led in ledger.nodes.items()})
+
+
+def graph_state(g):
+    return (g.version,
+            {i: (n.residual_energy, n.status, n.is_redundant, n.assumed_id)
+             for i, n in g.nodes.items()},
+            {i: list(g.neighbors(i)) for i in g.nodes})
+
+
+class TestSchemeIsolation:
+    @pytest.fixture(params=["field", "explicit"])
+    def faulty_config(self, request):
+        if request.param == "field":
+            return field_faults_config()
+        return parse_scenario(EXPLICIT_FAULTS)
+
+    def test_one_build_and_schemes_match_solo_runs(self, faulty_config, monkeypatch):
+        built = []
+
+        def counting_build(cfg):
+            net = build_network(cfg)
+            built.append((net, graph_state(net[0]),
+                          {d: [r.nodes for r in rs] for d, rs in net[1].entries.items()}))
+            return net
+
+        monkeypatch.setattr(harness, "build_network", counting_build)
+        rep = run_comparison(faulty_config)
+        assert len(built) == 1
+        (g, table, _, _), g_before, routes_before = built[0]
+        # every scheme ran on a copy: the pristine network is untouched
+        assert graph_state(g) == g_before
+        assert {d: [r.nodes for r in rs] for d, rs in table.entries.items()} == routes_before
+        assert table.version == g.version
+        assert sum(len(r.transfer.fault_records) for r in rep.runs) > 0
+
+        for r in rep.runs:
+            solo = run_comparison(dataclasses.replace(faulty_config,
+                                                      schemes=[r.scheme.value]))
+            assert transfer_state(solo.runs[0].transfer) == transfer_state(r.transfer)
+        assert len(built) == 1 + len(rep.runs)

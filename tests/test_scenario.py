@@ -73,11 +73,11 @@ link.bit_rate 1000
 energy.e_t 0.1
 energy.e_r 0.1
 energy.k_r 0.01
-fault node_fail 0.15 7
+fault node_fail 0.15 5
 fault link_fail 0.1 3 4
 """)
         assert len(cfg.faults.events) == 2
-        assert cfg.faults.events[0].target == 7
+        assert cfg.faults.events[0].target == 5
         assert cfg.faults.events[1].target == (3, 4)
 
 
@@ -141,6 +141,47 @@ energy.k_r 0.01
 fault meteor_strike 0.1 3
 """)
         assert e.field == "fault"
+
+    # source and sink, 4 + 1 + 2 interiors and 2 spares: node ids 0..10
+    EXPLICIT_BASE = """paths.hops 5 2 3
+paths.redundant 2
+packets 1
+link.bit_rate 1000
+energy.e_t 0.1
+energy.e_r 0.1
+energy.k_r 0.01
+"""
+
+    @pytest.mark.parametrize("fault", [
+        "node_fail 0.1 11",
+        "node_fail 0.1 -1",
+        "link_fail 0.1 3 11",
+        "link_fail 0.1 -2 3",
+        "link_fail 0.1 4 4",
+    ])
+    def test_bad_fault_target_explicit(self, fault):
+        e = self.err(self.EXPLICIT_BASE + f"fault {fault}\n")
+        assert (e.field, e.line) == ("fault", 8)
+
+    @pytest.mark.parametrize("fault", [
+        "node_fail 0.1 120",
+        "node_fail 0.1 -1",
+        "link_fail 0.1 0 120",
+        "link_fail 0.1 7 7",
+    ])
+    def test_bad_fault_target_field(self, fault):
+        e = self.err(self.RANGE_BASE + f"fault {fault}\n")
+        assert (e.field, e.line) == ("fault", 7)
+
+    def test_fault_targets_at_the_last_id_accepted(self):
+        cfg = parse_scenario(self.EXPLICIT_BASE + "fault link_fail 0.1 0 10\n")
+        assert cfg.faults.events[0].target == (0, 10)
+        cfg = parse_scenario(self.RANGE_BASE + "fault node_fail 0.1 119\n")
+        assert cfg.faults.events[0].target == 119
+
+    def test_fault_error_names_line_once(self):
+        e = self.err(self.EXPLICIT_BASE + "fault meteor_strike 0.1 3\n")
+        assert str(e).count("line 8") == 1
 
     def test_zero_tau_rejected(self):
         e = self.err("""

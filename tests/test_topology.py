@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from wsn_multipath import (
     Node,
@@ -10,6 +12,7 @@ from wsn_multipath import (
     dump_topology,
     parse_topology,
 )
+from wsn_multipath.topology import ALIVE, FAILED
 
 
 def grid_graph(radio=1.5):
@@ -123,6 +126,62 @@ class TestInPlaceEdits:
                 assert g.neighbors(u) == want[u]
                 for v in ids:
                     assert g.has_edge(u, v) == (v in g.neighbors(u))
+
+
+def pairwise_adjacency(nodes, radio):
+    """The neighbour lists built pair by pair from the k-d tree's set output."""
+    ids = sorted(n.id for n in nodes if n.alive)
+    position = {n.id: n.position for n in nodes}
+    adj = {i: [] for i in ids}
+    if len(ids) > 1:
+        pts = np.array([position[i] for i in ids])
+        for a, b in cKDTree(pts).query_pairs(radio):
+            adj[ids[a]].append(ids[b])
+            adj[ids[b]].append(ids[a])
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
+class TestAdjacencyBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.booleans(),
+                              st.integers(0, 10**6)),
+                    max_size=40, unique_by=lambda p: p[3]),
+           st.sampled_from([1.0, 3.0, 5.0, 7.5, 20.0]))
+    @example([], 5.0)
+    @example([(0, 0, True, 7)], 5.0)
+    @example([(0, 0, True, 9), (3, 4, True, 2)], 5.0)
+    @example([(0, 0, True, 9), (3, 4, False, 2), (0, 5, True, 4), (4, 3, True, 40)], 5.0)
+    def test_matches_pairwise_build(self, points, radio):
+        # integer points put many pairs at exactly the range (3-4-5
+        # triangles); ids are sparse and unordered, and some nodes are
+        # already failed when the graph is made
+        nodes = [Node(id=i, position=(float(x), float(y)), residual_energy=1.0,
+                      status=ALIVE if up else FAILED) for x, y, up, i in points]
+        g = TopologyGraph(nodes, radio_range=radio)
+        want = pairwise_adjacency(nodes, radio)
+        for n in nodes:
+            nbrs = g.neighbors(n.id)
+            assert nbrs == want.get(n.id, [])
+            assert all(type(v) is int for v in nbrs)
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+
+    def test_copy_is_independent(self):
+        g = grid_graph()
+        g.disable_link(1, 2)
+        g.nodes[0].residual_energy = 4.0
+        h = g.copy()
+        assert (h.version, h.radio_range) == (g.version, g.radio_range)
+        assert h.nodes == g.nodes
+        assert [h.neighbors(i) for i in range(3)] == [g.neighbors(i) for i in range(3)]
+        h.fail_node(1)
+        h.activate_spare(2, assumed_id=1)
+        h.nodes[0].residual_energy = 1.0
+        assert g.version == h.version - 2
+        assert g.nodes[1].alive and g.nodes[2].assumed_id is None
+        assert g.nodes[0].residual_energy == 4.0
+        assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
 
 
 class TestNearestRedundant:
