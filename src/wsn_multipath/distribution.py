@@ -108,7 +108,11 @@ def solve_max_packets(coeffs: QuadraticCoefficients) -> float:
         )
     if C <= 0.0:
         return 0.0
-    return 2.0 * C / (B + math.sqrt(B * B + 4.0 * A * C))
+    denominator = B + math.sqrt(B * B + 4.0 * A * C)
+    if denominator == 0.0:
+        # B == 0 and 4*A*C underflowed: the root is sqrt(C / A)
+        return math.sqrt(C / A)
+    return 2.0 * C / denominator
 
 
 def largest_remainder(shares: list[float], total: int) -> list[int]:

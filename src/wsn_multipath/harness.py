@@ -2,7 +2,9 @@
 
 The network is built once per comparison: one deploy, one adjacency and one
 route discovery. Each scheme then runs on its own copy of that pristine graph
-and routing table, so faults and energy drain do not leak between runs.
+and routing table, so faults and energy drain do not leak between runs. The
+graph copy is copy-on-write: making it costs two shallow dict copies, and the
+run then copies only the nodes and neighbour lists it writes, not the field.
 Delay is the completion time of the whole transfer; energy is communication
 plus radio idling plus sensing. Sensing is priced over the longest round
 among the compared schemes, the common observation window: the field keeps

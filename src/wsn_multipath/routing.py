@@ -9,8 +9,6 @@ are by lowest node id, so discovery is fully deterministic.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field, replace as dc_replace
 
 from .model import EnergyParams, LinkParams, PathProfile, per_hop_delay
@@ -102,35 +100,33 @@ def _shortest_hops(g: TopologyGraph, source: int, sink: int,
                    removed: set[int], skip_direct: bool) -> list[int] | None:
     """Min-hop path avoiding ``removed`` interiors; lowest-id tie-breaks.
 
-    Dijkstra over unit weights. The heap pops equal-distance nodes in id
-    order and a node keeps its first (lowest-id) predecessor, so the
+    Breadth-first, one hop level at a time, each level expanded in ascending
+    id order until the sink's turn comes: the order and extent a heap over
+    (hops, id) would pop. A node keeps its first (lowest-id) parent, so the
     returned path is the lexicographically smallest among min-hop paths.
     """
-    dist = {source: 0}
     parent: dict[int, int] = {}
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        if u == sink:
-            break
-        for v in g.neighbors(u):
-            if v in removed and v != sink:
-                continue
-            if u == source and v == sink and skip_direct:
-                continue
-            if d + 1 < dist.get(v, math.inf):
-                dist[v] = d + 1
-                parent[v] = u
-                heapq.heappush(heap, (d + 1, v))
-    if sink not in dist:
-        return None
-    path = [sink]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    seen = removed - {sink}   # nodes no expansion may enter
+    seen.add(source)
+    frontier = [source]
+    while frontier:
+        level: list[int] = []
+        for u in frontier:
+            if u == sink:
+                path = [sink]
+                while path[-1] != source:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            fresh = [v for v in g.neighbors(u) if v not in seen]
+            if u == source and skip_direct and sink in fresh:
+                fresh.remove(sink)
+            seen.update(fresh)
+            parent.update(dict.fromkeys(fresh, u))
+            level += fresh
+        level.sort()
+        frontier = level
+    return None
 
 
 def discover_disjoint_paths(g: TopologyGraph, source: int, sink: int,

@@ -361,8 +361,8 @@ def build_network(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTable, int
     for key, nid in (("field.source", cfg.source), ("field.sink", cfg.sink)):
         if nid not in g:
             raise ScenarioError(f"node {nid} not in deployed field", field_name=key)
-    g.nodes[cfg.source].is_redundant = False
-    g.nodes[cfg.sink].is_redundant = False
+    g.activate_spare(cfg.source)
+    g.activate_spare(cfg.sink)
     table = build_routing_table(g, cfg.source, [cfg.sink], cfg.link,
                                 max_paths=cfg.max_paths, packet_bits=cfg.ep.S)
     if not table.routes_for(cfg.sink):

@@ -7,7 +7,10 @@ packet pays one transmit and one receive charge (the source receives from the
 sensing stage, the sink transmits the handoff), which makes the communication
 energy of a path equal to the closed-form traffic term. When the round ends,
 every alive node of the route fabric pays idle power for the round minus its
-time on air; sensing is priced by the comparison harness.
+time on air; sensing is priced by the comparison harness. A node's energy
+ledger is made on its first charge, so the engine's bookkeeping covers the
+route fabric and beacon neighbours, not the whole field; the residuals of
+charged nodes are written back to the graph when the round ends.
 
 Fault handling mirrors a two-sided detection protocol. The receiver of a hop
 arms a timer for m*tau past the expected arrival; a sender that fails m
@@ -157,16 +160,25 @@ class NodeLedger:
 
 
 class EnergyLedger:
-    """Per-node energy bookkeeping plus per-path communication totals."""
+    """Per-node energy bookkeeping plus per-path communication totals.
 
-    def __init__(self):
+    A node's ledger is made on its first charge, starting from the residual
+    the graph holds for it then, so ``nodes`` holds exactly the nodes that
+    took a charge. Until ``settle`` hands the residuals back to the graph,
+    ``residual`` of an uncharged node is the graph's value.
+    """
+
+    def __init__(self, g: TopologyGraph | None = None):
+        self._g = g
         self.nodes: dict[int, NodeLedger] = {}
         self.path_comm: dict[int, _Kahan] = {}
 
-    def ensure(self, node_id: int, initial: float = 0.0) -> NodeLedger:
-        if node_id not in self.nodes:
-            self.nodes[node_id] = NodeLedger(initial=initial)
-        return self.nodes[node_id]
+    def ensure(self, node_id: int) -> NodeLedger:
+        led = self.nodes.get(node_id)
+        if led is None:
+            led = self.nodes[node_id] = NodeLedger(
+                initial=self._g.nodes[node_id].residual_energy)
+        return led
 
     def _path(self, path_id: int) -> _Kahan:
         if path_id not in self.path_comm:
@@ -191,11 +203,16 @@ class EnergyLedger:
             self._path(path_id).add(joules)
         return led
 
-    def charge_idle(self, node_id: int, joules: float):
-        self.ensure(node_id).idle.add(joules)
-
     def residual(self, node_id: int) -> float:
-        return self.nodes[node_id].residual
+        led = self.nodes.get(node_id)
+        return led.residual if led else self._g.nodes[node_id].residual_energy
+
+    def settle(self):
+        """Write every charged node's residual back to the graph, and let
+        go of the graph."""
+        for nid, led in self.nodes.items():
+            self._g.set_residual(nid, led.residual)
+        self._g = None
 
     def comm_for_path(self, path_id: int) -> float:
         acc = self.path_comm.get(path_id)
@@ -386,10 +403,7 @@ class _Engine:
             base += packets
         self.heap: list[tuple[float, int, SimEvent]] = []
         self.seq = 0
-        self.ledger = EnergyLedger()
-        for node in g.nodes.values():
-            if node.alive:
-                self.ledger.ensure(node.id, initial=node.residual_energy)
+        self.ledger = EnergyLedger(g)
         self.records: list[FaultRecord] = []
         self.trace: list[str] = []
         self.fabric: set[int] = set()
@@ -710,13 +724,16 @@ class _Engine:
         full, extra = divmod(k, hops)
         arrivals = [full + ((h - pr.hop) % hops < extra) for h in range(hops)]
         for i, node in enumerate(pr.nodes):
-            led = self.ledger.ensure(node)
             n_rx = arrivals[i - 1] if i else injects
+            n_tx = arrivals[i] if 0 < i < hops else 0
+            if not n_rx + n_tx:
+                continue  # stepping would make this node no ledger either
+            led = self.ledger.ensure(node)
             led.rx.add_repeat(self.j_rx, n_rx)
+            led.tx.add_repeat(pr.j_tx, n_tx)
             if 0 < i < hops:
-                led.tx.add_repeat(pr.j_tx, arrivals[i])
                 busy = led.busy
-                for _ in range(arrivals[i] + n_rx):
+                for _ in range(n_tx + n_rx):
                     busy += tau
                 led.busy = busy
         # each arrival charges tx then rx, each delivery tx then, if it injects, rx
@@ -796,7 +813,7 @@ class _Engine:
             walks.append((pr, items, sending, entry, out))
         # the source's and sink's charges from every path, in pop order
         for _, node, pr in merge(*chains):
-            led = self.ledger.nodes[node]
+            led = self.ledger.ensure(node)
             led.tx.add(pr.j_tx)
             led.busy += pr.profile.tau
         pushes = []
@@ -900,13 +917,10 @@ class _Engine:
         # fabric radios idle for the round minus their time on air
         for nid in report.fabric_nodes:
             if self._alive(nid):
-                busy = self.ledger.nodes[nid].busy
-                self.ledger.charge_idle(nid, self.config.idle_power
-                                        * max(0.0, report.completion_time - busy))
-        for nid, led in self.ledger.nodes.items():
-            node = self.g.nodes.get(nid)
-            if node is not None:
-                node.residual_energy = led.residual
+                led = self.ledger.ensure(nid)
+                led.idle.add(self.config.idle_power
+                             * max(0.0, report.completion_time - led.busy))
+        self.ledger.settle()
         return report
 
 

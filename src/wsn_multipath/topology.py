@@ -4,18 +4,26 @@ Nodes live on a plane. The graph keeps one adjacency: for each alive node,
 its alive neighbours within the radio range in ascending id order, built from
 the positions once, when the graph is made: one k-d tree range query gives
 the pairs as an array, and numpy sorts and splits them into lists. Failures
-and link cuts then edit it in place; nothing is rebuilt, and ``copy`` hands
-out an independent graph in the same state without a second build.
-``neighbors`` and ``has_edge`` both read it, so route discovery, beacons and
-the transfer engine share one rule for "u and v are linked". The graph is a
-single-writer structure: mutations bump ``version`` so routing tables built
-against an older topology can be detected as stale.
+and link cuts then edit it in place; nothing is rebuilt. ``neighbors`` and
+``has_edge`` both read it, so route discovery, beacons and the transfer
+engine share one rule for "u and v are linked". The graph is a single-writer
+structure: mutations bump ``version`` so routing tables built against an
+older topology can be detected as stale.
+
+``copy`` is copy-on-write. The copy shares every ``Node`` and neighbour list
+with its parent and costs two shallow dict copies; a graph method that writes
+a node or a list (``fail_node``, ``disable_link``, ``activate_spare``,
+``set_residual``) first gives the writing graph its own copy of it, and
+after a ``copy`` the parent copies on its first write too. So a copy costs
+what its writes touch, not the field. Writing ``g.nodes[i].<attr>``
+directly is not supported: it would show through every graph sharing that
+node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -76,16 +84,32 @@ class TopologyGraph:
         ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
         self._adjacency: dict[int, list[int]] = {
             u: flat[start:end] for u, start, end in zip(ids, [0] + ends, ends)}
+        # ids whose Node / neighbour list no other graph shares
+        self._own_nodes = set(self.nodes)
+        self._own_lists = set(self._adjacency)
 
     def copy(self) -> TopologyGraph:
-        """An independent graph in this one's state; nothing is rebuilt."""
+        """An independent graph in this one's state, sharing until written."""
         g = TopologyGraph.__new__(TopologyGraph)
-        g.nodes = {i: Node(n.id, n.position, n.residual_energy, n.is_redundant,
-                           n.status, n.assumed_id) for i, n in self.nodes.items()}
+        g.nodes = dict(self.nodes)
         g.radio_range = self.radio_range
         g.version = self.version
-        g._adjacency = {u: nbrs[:] for u, nbrs in self._adjacency.items()}
+        g._adjacency = dict(self._adjacency)
+        g._own_nodes, g._own_lists = set(), set()
+        self._own_nodes, self._own_lists = set(), set()
         return g
+
+    def _node_for_write(self, node_id: int) -> Node:
+        if node_id not in self._own_nodes:
+            self.nodes[node_id] = replace(self.nodes[node_id])
+            self._own_nodes.add(node_id)
+        return self.nodes[node_id]
+
+    def _list_for_write(self, node_id: int) -> list[int]:
+        if node_id not in self._own_lists:
+            self._adjacency[node_id] = self._adjacency[node_id][:]
+            self._own_lists.add(node_id)
+        return self._adjacency[node_id]
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -108,25 +132,28 @@ class TopologyGraph:
         return v in self._adjacency.get(u, ())
 
     def fail_node(self, node_id: int):
-        node = self.nodes[node_id]
-        if node.alive:
-            node.status = FAILED
+        if self.nodes[node_id].alive:
+            self._node_for_write(node_id).status = FAILED
             for v in self._adjacency.pop(node_id):
-                self._adjacency[v].remove(node_id)
+                self._list_for_write(v).remove(node_id)
             self.version += 1
 
     def disable_link(self, u: int, v: int):
         if self.has_edge(u, v):
-            self._adjacency[u].remove(v)
-            self._adjacency[v].remove(u)
+            self._list_for_write(u).remove(v)
+            self._list_for_write(v).remove(u)
             self.version += 1
 
     def activate_spare(self, node_id: int, assumed_id: int | None = None):
         """Turn a redundant node into a regular route participant."""
-        node = self.nodes[node_id]
+        node = self._node_for_write(node_id)
         node.is_redundant = False
         node.assumed_id = assumed_id
         self.version += 1
+
+    def set_residual(self, node_id: int, joules: float):
+        """Store a node's residual energy; the topology is unchanged."""
+        self._node_for_write(node_id).residual_energy = joules
 
     def nearest_redundant(self, near: int, exclude: frozenset[int] = frozenset()) -> Node | None:
         """Closest alive redundant node to ``near``; lowest id wins ties."""

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsn_multipath import (
     Distribution,
@@ -71,6 +71,7 @@ class TestCoefficients:
             solve_max_packets(QuadraticCoefficients(A=0.0, B=1.0, C=1.0))
 
     @given(st.floats(1e-9, 1e3), st.floats(0, 1e3), st.floats(0, 1e6))
+    @example(a=0.125, b=0.0, c=5e-324)  # 4*A*C underflows to 0
     def test_root_nonnegative(self, a, b, c):
         assert solve_max_packets(QuadraticCoefficients(A=a, B=b, C=c)) >= 0.0
 

@@ -108,6 +108,17 @@ class TestBundled:
             assert runs[0][0].fault_records
             assert_equivalent(runs)
 
+    def test_sink_fails_before_any_delivery(self, bench_scenario_text):
+        # the window before the fault reaches no path's sink, and the dead
+        # sink pays no idle, so neither engine may make it a ledger
+        cfg = parse_scenario(bench_scenario_text)
+        faults = [FaultEvent(time=0.05, kind="node_fail", target=1)]
+        for scheme in Scheme:
+            runs = _both(cfg, _scheme(scheme, cfg), faults)
+            assert runs[0][0].total_delivered == 0
+            assert 1 not in runs[0][0].ledger.nodes
+            assert_equivalent(runs)
+
     def test_faults_exactly_on_hop_times(self, bench_scenario_text):
         # a fault at the very time a hop arrives pops first; the window must
         # stop short of it and leave the tie to the per-hop engine
@@ -130,7 +141,7 @@ class TestDepletion:
         cfg = parse_scenario(bench_scenario_text + "paths.redundant 1\n")
 
         def drain(g, table):
-            g.nodes[33].residual_energy = 0.02   # about four packets' worth
+            g.set_residual(33, 0.02)   # about four packets' worth
             table.version = g.version
 
         runs = _both(cfg, _scheme(Scheme.ADAPTIVE, cfg), tweak=drain)

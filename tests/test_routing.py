@@ -1,7 +1,9 @@
+import heapq
 import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsn_multipath import (
     LinkParams,
@@ -16,6 +18,7 @@ from wsn_multipath import (
     estimate_path_params,
     replace_failed_node,
 )
+from wsn_multipath.routing import _shortest_hops
 
 
 def graph_from(points, radio, spares=()):
@@ -84,6 +87,96 @@ class TestDiscovery:
     def test_max_paths_cap(self):
         routes = discover_disjoint_paths(diamond(), 0, 3, max_paths=1)
         assert len(routes) == 1
+
+
+def heap_shortest_hops(g, source, sink, removed, skip_direct):
+    """Dijkstra over unit weights, popping (distance, id) off a heap: the
+    reference the breadth-first search must reproduce exactly."""
+    dist = {source: 0}
+    parent = {}
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        if u == sink:
+            break
+        for v in g.neighbors(u):
+            if v in removed and v != sink:
+                continue
+            if u == source and v == sink and skip_direct:
+                continue
+            if d + 1 < dist.get(v, math.inf):
+                dist[v] = d + 1
+                parent[v] = u
+                heapq.heappush(heap, (d + 1, v))
+    if sink not in dist:
+        return None
+    path = [sink]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+class RecordingGraph:
+    """Forwards ``neighbors`` to a graph and records whom it was asked about."""
+
+    def __init__(self, g):
+        self.g = g
+        self.asked = []
+
+    def neighbors(self, u):
+        self.asked.append(u)
+        return self.g.neighbors(u)
+
+
+def assert_matches_heap_search(g, source, sink, removed, skip_direct):
+    bfs, heap = RecordingGraph(g), RecordingGraph(g)
+    got = _shortest_hops(bfs, source, sink, removed, skip_direct)
+    want = heap_shortest_hops(heap, source, sink, removed, skip_direct)
+    assert got == want
+    # the same nodes expanded in the same order, so the search costs the same
+    # number of neighbour lookups
+    assert bfs.asked == heap.asked
+    return got
+
+
+class TestShortestHopsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                    min_size=2, max_size=40),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.data(), st.booleans())
+    def test_lattice_fields(self, points, radio, data, skip_direct):
+        # integer points give many equal-hop alternatives to break by id
+        g = graph_from(dict(enumerate(points)), radio)
+        ids = st.integers(0, len(points) - 1)
+        source, sink = data.draw(ids), data.draw(ids)
+        removed = data.draw(st.sets(ids))
+        assert_matches_heap_search(g, source, sink, removed, skip_direct)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 10**6),
+           st.sampled_from([8.0, 12.0, 20.0]), st.data(), st.booleans())
+    def test_random_fields(self, count, seed, radio, data, skip_direct):
+        g = deploy_field((100.0, 100.0), count, seed=seed, radio_range=radio)
+        ids = st.integers(0, count - 1)
+        source, sink = data.draw(ids), data.draw(ids)
+        removed = data.draw(st.sets(ids, max_size=count // 2))
+        assert_matches_heap_search(g, source, sink, removed, skip_direct)
+
+    def test_direct_edge(self):
+        # source 0 and sink 5 are in range of each other, and each of 2 and
+        # 3 links them in two hops; 2 and 3 are out of range of each other
+        g = graph_from({0: (0, 0), 5: (1, 0), 3: (0.5, 0.8), 2: (0.5, -0.8)},
+                       radio=1.2)
+        assert g.has_edge(0, 5)
+        cases = [(set(), False, [0, 5]), ({2, 3}, False, [0, 5]),
+                 (set(), True, [0, 2, 5]), ({2}, True, [0, 3, 5]),
+                 ({2, 3}, True, None), ({5}, True, [0, 2, 5])]
+        for removed, skip_direct, want in cases:
+            assert assert_matches_heap_search(g, 0, 5, removed, skip_direct) == want
 
 
 class TestAgainstFlowOracle:

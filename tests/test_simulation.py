@@ -279,9 +279,10 @@ class TestAccounting:
         cfg, g, table, dist, t = single_path_net(packets=1, spares=1)
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
                            config=SimConfig(idle_power=409.6e-6), destination=t)
-        # spare 6 never joins the fabric: no idle and no traffic charges
+        # spare 6 never joins the fabric: no idle and no traffic charges,
+        # so it has no ledger
         assert 6 not in rep.fabric_nodes
-        assert rep.ledger.nodes[6].consumed == 0.0
+        assert 6 not in rep.ledger.nodes
         # the source idles for the 5-hop round minus its one hop on air
         assert rep.ledger.nodes[0].idle.value == pytest.approx(
             409.6e-6 * (5 * TAU - TAU), rel=1e-9)
@@ -306,9 +307,65 @@ class TestAccounting:
 
     def test_depleted_node_dies_mid_run(self):
         cfg, g, table, dist, t = single_path_net(packets=3, spares=1)
-        g.nodes[3].residual_energy = 0.005  # about one packet's worth
+        g.set_residual(3, 0.005)  # about one packet's worth
         table.version = g.version
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
         assert not g.nodes[3].alive
         # the transfer still completes through the spare
         assert rep.total_delivered == 3
+
+
+FIELD_FAULTS = """
+field.nodes 1500
+field.area 300 300
+field.radio_range 24
+field.seed 3
+field.source 0
+field.sink 1
+packets 200
+link.bit_rate 50000
+energy.e_t 0.128
+energy.e_r 0.1024
+energy.k_r 0.024
+sim.idle_power 409.6e-6
+"""
+
+
+class TestLazyLedgers:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_only_touched_nodes_get_ledgers(self, scheme):
+        # three node_fail faults on the middle interior nodes of routes 1-3
+        cfg = parse_scenario(FIELD_FAULTS)
+        runs = []
+        for trace in (False, True):
+            g, table, _, t = build_network(cfg)
+            routes = table.routes_for(t)
+            # recovery swaps spares into the table's route list, so keep
+            # the discovered routes aside
+            discovered = {r.path_id: r.nodes for r in routes}
+            faults = FaultScript([
+                FaultEvent(time=when, kind="node_fail",
+                           target=r.interior[len(r.interior) // 2])
+                for when, r in zip((0.05, 0.10, 0.15), routes)])
+            dist = allocate(scheme, cfg.ep, [r.profile for r in routes], cfg.packets)
+            initial = {n.id: n.residual_energy for n in g.nodes.values()}
+            rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
+                               config=SimConfig(idle_power=cfg.idle_power, trace=trace),
+                               destination=t)
+            runs.append((g, initial, discovered, rep))
+        # the stepped run's trace names every beacon neighbour
+        beacons = {int(line.split()[3]) for line in runs[1][3].trace_lines
+                   if line.split()[1] == "BeaconSend"}
+        assert beacons
+        for g, initial, discovered, rep in runs:
+            assert any(fr.replacement is not None for fr in rep.fault_records)
+            route_nodes = {n for pid in rep.delivered for n in discovered[pid]}
+            briefed = {fr.replacement for fr in rep.fault_records
+                       if fr.replacement is not None}
+            assert set(rep.ledger.nodes) <= route_nodes | briefed | beacons
+            for nid, n in g.nodes.items():
+                if nid not in rep.ledger.nodes:
+                    assert n.residual_energy == initial[nid]
+                else:
+                    assert n.residual_energy == rep.ledger.nodes[nid].residual
+        assert runs[0][3].ledger.nodes.keys() == runs[1][3].ledger.nodes.keys()

@@ -80,23 +80,43 @@ EDITS = st.one_of(
     st.tuples(st.just("fail_node"), st.integers(0, 9)),
     st.tuples(st.just("disable_link"), st.integers(0, 9), st.integers(0, 9)),
     st.tuples(st.just("activate_spare"), st.integers(0, 9)),
+    st.tuples(st.just("set_residual"), st.integers(0, 9),
+              st.floats(0.0, 10.0, allow_nan=False)),
 )
 
 
+def graph_state(g: TopologyGraph):
+    """Everything a graph method can write, copied out of the graph."""
+    return (g.version,
+            {i: (n.residual_energy, n.status, n.is_redundant, n.assumed_id)
+             for i, n in g.nodes.items()},
+            {i: list(g.neighbors(i)) for i in g.nodes})
+
+
 class TestInPlaceEdits:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                     min_size=2, max_size=10),
            st.sampled_from([1.0, 3.0, 5.0, 7.5, 20.0]),
-           st.lists(EDITS, max_size=12))
-    def test_edits_match_a_fresh_build(self, points, radio, edits):
-        # integer points put many pairs at exactly the range (3-4-5 triangles)
+           st.lists(EDITS, max_size=12),
+           st.sampled_from([(0, 0), (1, 1), (1, 0), (2, 2), (2, 1), (2, 0)]))
+    def test_edits_match_a_fresh_build(self, points, radio, edits, chain):
+        # integer points put many pairs at exactly the range (3-4-5 triangles).
+        # ``chain`` = (copies made, which graph of root, copy, copy of copy is
+        # edited); every other graph of the chain must not see the edits
+        depth, target = chain
         ids = range(len(points))
-        g = TopologyGraph([Node(id=i, position=(float(x), float(y)), residual_energy=1.0,
-                                is_redundant=True) for i, (x, y) in enumerate(points)],
-                          radio_range=radio)
+        graphs = [TopologyGraph([Node(id=i, position=(float(x), float(y)),
+                                      residual_energy=1.0, is_redundant=True)
+                                 for i, (x, y) in enumerate(points)],
+                                radio_range=radio)]
+        for _ in range(depth):
+            graphs.append(graphs[-1].copy())
+        g = graphs[target]
+        others = [(h, graph_state(h)) for h in graphs if h is not g]
         dead: set[int] = set()
         cut: set[frozenset[int]] = set()
+        nodes_want = {i: (1.0, ALIVE, True, None) for i in ids}
 
         def rebuilt():
             # a fresh graph of the surviving nodes, less the cut pairs
@@ -108,24 +128,36 @@ class TestInPlaceEdits:
 
         want = rebuilt()
         for op, *args in edits:
-            if any(a not in g for a in args):
+            if any(a not in g for a in args[:2 if op == "disable_link" else 1]):
                 continue
             before = g.version
+            energy, status, spare, assumed = nodes_want[args[0]]
             if op == "fail_node":
                 changed = args[0] not in dead
                 dead.add(args[0])
+                status = FAILED
             elif op == "disable_link":
                 changed = args[1] in want[args[0]]
                 cut.add(frozenset(args))
+            elif op == "set_residual":
+                changed = False
+                energy = args[1]
             else:
                 changed = True
+                spare = False
+            nodes_want[args[0]] = (energy, status, spare, assumed)
             getattr(g, op)(*args)
             assert g.version == before + changed
             want = rebuilt()
             for u in ids:
                 assert g.neighbors(u) == want[u]
+                n = g.nodes[u]
+                assert (n.residual_energy, n.status, n.is_redundant,
+                        n.assumed_id) == nodes_want[u]
                 for v in ids:
                     assert g.has_edge(u, v) == (v in g.neighbors(u))
+            for h, state in others:
+                assert graph_state(h) == state
 
 
 def pairwise_adjacency(nodes, radio):
@@ -170,14 +202,14 @@ class TestAdjacencyBuild:
     def test_copy_is_independent(self):
         g = grid_graph()
         g.disable_link(1, 2)
-        g.nodes[0].residual_energy = 4.0
+        g.set_residual(0, 4.0)
         h = g.copy()
         assert (h.version, h.radio_range) == (g.version, g.radio_range)
         assert h.nodes == g.nodes
         assert [h.neighbors(i) for i in range(3)] == [g.neighbors(i) for i in range(3)]
         h.fail_node(1)
         h.activate_spare(2, assumed_id=1)
-        h.nodes[0].residual_energy = 1.0
+        h.set_residual(0, 1.0)
         assert g.version == h.version - 2
         assert g.nodes[1].alive and g.nodes[2].assumed_id is None
         assert g.nodes[0].residual_energy == 4.0
