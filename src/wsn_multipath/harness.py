@@ -1,10 +1,12 @@
 """Run the three distribution schemes on one scenario and compare them.
 
 The network is built once per comparison: one deploy, one adjacency and one
-route discovery. Each scheme then runs on its own copy of that pristine graph
-and routing table, so faults and energy drain do not leak between runs. The
-graph copy is copy-on-write: making it costs two shallow dict copies, and the
-run then copies only the nodes and neighbour lists it writes, not the field.
+route discovery. Each scheme then runs on its own copy of that pristine graph,
+so faults and energy drain do not leak between runs. The copy costs two
+shallow dict copies: graph writes replace the node or neighbour list they
+change, never edit it, so the copy and the pristine graph share the rest.
+Every scheme reads the same routing table: it is read-only once built, and
+recovery puts spares into the engine's own route lists.
 Delay is the completion time of the whole transfer; energy is communication
 plus radio idling plus sensing. Sensing is priced over the longest round
 among the compared schemes, the common observation window: the field keeps
@@ -21,7 +23,6 @@ import os
 from dataclasses import dataclass, field
 
 from .distribution import Distribution, Scheme, allocate, verify_edp_bound
-from .routing import RoutingTable
 from .scenario import ScenarioConfig, build_network
 from .simulation import SimConfig, TransferReport, run_transfer
 
@@ -65,7 +66,7 @@ class ComparisonReport:
     observation_window: float
     fabric_count: int
     background_nodes: int
-    hops_by_path: dict[int, int] = field(default_factory=dict)
+    hops_by_path: dict[int, int]
     delay_ordering_ok: bool | None = None
     energy_ordering_ok: bool | None = None
     closeness_ok: bool | None = None
@@ -100,11 +101,6 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
     hops_by_path = {p.path_id: p.H for p in profiles}
     for code in cfg.schemes:
         scheme = Scheme(code)
-        # the engine edits the graph and swaps spares into the table's
-        # route lists (routes themselves are replaced, never changed); the
-        # graph copy is made in the call so it is freed when the run ends
-        table = RoutingTable(source=pristine_table.source, version=pristine_table.version,
-                             entries={d: rs[:] for d, rs in pristine_table.entries.items()})
         dist = allocate(scheme, cfg.ep, profiles, cfg.packets)
         if dist.infeasible:
             warnings.append(
@@ -116,7 +112,8 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
         sim_cfg = SimConfig(max_attempts=cfg.max_attempts,
                             control_bits=cfg.control_bits,
                             idle_power=cfg.idle_power, trace=cfg.trace)
-        report = run_transfer(pristine.copy(), table, dist, cfg.ep, cfg.link,
+        # the graph copy is made in the call so it is freed when the run ends
+        report = run_transfer(pristine.copy(), pristine_table, dist, cfg.ep, cfg.link,
                               faults=cfg.faults, config=sim_cfg,
                               destination=sink)
         fabric_count = max(fabric_count, len(report.fabric_nodes))
@@ -181,17 +178,13 @@ def emit_outputs(rep: ComparisonReport, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     labels = [r.label for r in rep.runs]
     paths = _path_ids(rep)
-    hops_by_path = rep.hops_by_path
     written = []
 
     fn = os.path.join(out_dir, "distribution.csv")
     with open(fn, "w", encoding="utf-8", newline="\n") as fh:
-        head = ["path_id"] + (["hops"] if hops_by_path else []) + labels
-        fh.write(",".join(head) + "\n")
+        fh.write(",".join(["path_id", "hops"] + labels) + "\n")
         for pid in paths:
-            row = [str(pid)]
-            if hops_by_path:
-                row.append(str(hops_by_path.get(pid, "")))
+            row = [str(pid), str(rep.hops_by_path[pid])]
             row += [str(r.distribution.packets_for(pid)) for r in rep.runs]
             fh.write(",".join(row) + "\n")
     written.append(fn)

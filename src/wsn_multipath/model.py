@@ -160,8 +160,9 @@ def path_edp(ep: EnergyParams, profile: PathProfile, delta: float) -> float:
     return path_energy(ep, profile, delta) * path_delay(delta, profile)
 
 
-def average_edp(ep: EnergyParams, paths: list[PathProfile], D: float, n: int | None = None) -> float:
-    """EDP of a synthetic average path carrying the equal-split load D/n.
+def average_edp(ep: EnergyParams, paths: list[PathProfile], D: float) -> float:
+    """EDP of a synthetic average path carrying the equal-split load D/n,
+    n = len(paths).
 
     The average path has H_avg = mean(H_j), tau_avg = mean(tau_j) and
     T_avg = mean(T_dist_j); the load D/n stays real-valued. This is the
@@ -169,16 +170,12 @@ def average_edp(ep: EnergyParams, paths: list[PathProfile], D: float, n: int | N
     """
     if not paths:
         raise ValueError("average_edp needs at least one path")
-    if n is None:
-        n = len(paths)
-    if n < 1:
-        raise ValueError(f"path count must be >= 1, got {n}")
     if D < 0:
         raise ValueError(f"total packet count must be >= 0, got {D}")
     h_avg = math.fsum(p.H for p in paths) / len(paths)
     tau_avg = math.fsum(p.tau for p in paths) / len(paths)
     t_avg = math.fsum(p.T_dist for p in paths) / len(paths)
-    load = D / n
+    load = D / len(paths)
     nodes = h_avg + 1.0
     per_bit = ep.amplified_tx_power(t_avg / h_avg) * ep.T_1b + ep.e_r * ep.T_2b
     energy = per_bit * load * ep.S * nodes + ep.K_r * nodes

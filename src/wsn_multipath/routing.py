@@ -9,7 +9,7 @@ are by lowest node id, so discovery is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, replace
 
 from .model import EnergyParams, LinkParams, PathProfile, per_hop_delay
 from .topology import TopologyGraph, UnrecoverableFailureError
@@ -29,7 +29,7 @@ class StaleRouteError(RuntimeError):
     """A route references a node that is no longer alive in the topology."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Route:
     path_id: int
     nodes: tuple[int, ...]
@@ -81,14 +81,6 @@ class RoutingTable:
             raise StaleRouteError(
                 f"routing table built at topology version {self.version}, "
                 f"graph is now at {g.version}")
-
-    def swap_node(self, old: int, new: int):
-        """Replace ``old`` with ``new`` in every route that contains it."""
-        for routes in self.entries.values():
-            for i, r in enumerate(routes):
-                if old in r.nodes:
-                    nodes = tuple(new if n == old else n for n in r.nodes)
-                    routes[i] = dc_replace(r, nodes=nodes)
 
     def format_routes(self, destination: int) -> str:
         lines = [f"{r.path_id}: {','.join(str(n) for n in r.nodes)}"
@@ -185,35 +177,30 @@ def build_routing_table(g: TopologyGraph, source: int, destinations: list[int],
     for dest in destinations:
         if dest == source:
             continue
-        routes = discover_disjoint_paths(g, source, dest, max_paths=max_paths)
-        for r in routes:
-            r.profile = estimate_path_params(g, r, link, packet_bits=packet_bits)
+        routes = [replace(r, profile=estimate_path_params(g, r, link, packet_bits=packet_bits))
+                  for r in discover_disjoint_paths(g, source, dest, max_paths=max_paths)]
         if routes:
             table.entries[dest] = routes
     table.version = g.version
     return table
 
 
-def replace_failed_node(g: TopologyGraph, failed_id: int, table: RoutingTable,
-                        near: int | None = None,
+def replace_failed_node(g: TopologyGraph, failed_id: int, near: int | None = None,
                         exclude: frozenset[int] = frozenset()) -> int:
-    """Swap a route node for the nearest alive redundant node.
+    """Activate the nearest alive redundant node to take a failed node's slot.
 
     ``near`` picks the reference point for "nearest" (defaults to the failed
-    node itself; recovery passes the node that detected the fault). The spare
-    assumes the failed node's route slot in every affected route. Returns the
-    id of the activated spare. Raises UnrecoverableFailureError when the pool
-    is empty.
+    node itself; recovery passes the node that detected the fault). Nodes in
+    ``exclude`` are never borrowed; recovery passes the nodes its routes
+    already use. Only the graph changes: the caller puts the returned spare
+    into its own copy of the route, and routing tables are never written.
+    Raises UnrecoverableFailureError when the pool is empty.
     """
     if failed_id not in g:
         raise ValueError(f"unknown node {failed_id}")
-    on_routes = {n for routes in table.entries.values() for r in routes for n in r.nodes}
-    spare = g.nearest_redundant(near if near is not None else failed_id,
-                                exclude=exclude | frozenset(on_routes))
+    spare = g.nearest_redundant(near if near is not None else failed_id, exclude=exclude)
     if spare is None:
         raise UnrecoverableFailureError(
             f"no redundant node available to replace node {failed_id}")
     g.activate_spare(spare.id, assumed_id=failed_id)
-    table.swap_node(failed_id, spare.id)
-    table.version = g.version
     return spare.id

@@ -10,6 +10,7 @@ offending line number and field name.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 
 from .model import EnergyParams, LinkParams, PathProfile
@@ -109,6 +110,19 @@ _KNOWN = {
 }
 
 
+# EnergyParams field -> (scenario key, default or None when required)
+_ENERGY_FIELDS = {
+    "e_t": ("energy.e_t", None),
+    "e_d": ("energy.e_d", 0.0),
+    "e_r": ("energy.e_r", None),
+    "k": ("energy.path_loss_k", 2.0),
+    "T_1b": ("energy.t_1b", 2e-5),
+    "T_2b": ("energy.t_2b", 2e-5),
+    "K_r": ("energy.k_r", None),
+    "S": ("energy.packet_bits", 1000.0),
+}
+
+
 def _tokenize(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -150,6 +164,9 @@ def _conv(raw, lines, key, cast, default=None, required=False):
     except ValueError:
         raise ScenarioError(f"cannot parse value(s) {' '.join(raw[key])!r}",
                             field_name=key, line=lines[key]) from None
+    if cast is float and not all(map(math.isfinite, vals)):
+        raise ScenarioError(f"value(s) {' '.join(raw[key])!r} must be finite",
+                            field_name=key, line=lines[key])
     return vals
 
 
@@ -171,17 +188,9 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
             f"exactly one of 'paths.hops' or 'field.nodes' must be given, got {which}",
             field_name="paths.hops")
 
-    ep = EnergyParams(
-        e_t=_one(raw, lines, "energy.e_t", float, required=True),
-        e_d=_one(raw, lines, "energy.e_d", float, default=0.0),
-        e_r=_one(raw, lines, "energy.e_r", float, required=True),
-        k=_one(raw, lines, "energy.path_loss_k", float, default=2.0),
-        T_1b=_one(raw, lines, "energy.t_1b", float, default=2e-5),
-        T_2b=_one(raw, lines, "energy.t_2b", float, default=2e-5),
-        K_r=_one(raw, lines, "energy.k_r", float, required=True),
-        S=_one(raw, lines, "energy.packet_bits", float, default=1000.0),
-    )
-    link = LinkParams(
+    energy = {name: _one(raw, lines, key, float, default=d, required=d is None)
+              for name, (key, d) in _ENERGY_FIELDS.items()}
+    link = dict(
         b=_one(raw, lines, "link.bit_rate", float, required=True),
         l=_one(raw, lines, "link.delay", float, default=0.0),
         q=_one(raw, lines, "link.queue_delay", float, default=0.0),
@@ -192,9 +201,7 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         raise ScenarioError("schemes must be distinct values from 1, 2, 3",
                             "schemes", lines.get("schemes"))
 
-    cfg = ScenarioConfig(
-        mode="explicit" if explicit else "field",
-        packets=packets, schemes=schemes, ep=ep, link=link,
+    opts = dict(
         t_dist=_one(raw, lines, "paths.distance", float, default=100.0),
         redundant=_one(raw, lines, "paths.redundant", int, default=0),
         field_nodes=_one(raw, lines, "field.nodes", int, default=0),
@@ -210,10 +217,47 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         initial_energy=_one(raw, lines, "sim.initial_energy", float, default=23760.0),
         background_nodes=_one(raw, lines, "comparison.background_nodes", int, default=0),
         out_dir=_one(raw, lines, "output.dir", str, default="out"),
+        area=tuple(_conv(raw, lines, "field.area", float, default=[300.0, 300.0])),
     )
-    if "field.area" in raw:
-        w, h = _conv(raw, lines, "field.area", float)
-        cfg.area = (w, h)
+
+    # the bounds EnergyParams and LinkParams enforce, checked here first so
+    # that the error names the field and line
+    checks = [
+        (energy[name] >= 0, key, f"{key} must be >= 0")
+        for name, (key, _) in _ENERGY_FIELDS.items()
+    ] + [
+        (energy["S"] > 0, "energy.packet_bits", "packet size must be > 0"),
+        (link["b"] > 0, "link.bit_rate", "link bit rate must be > 0"),
+        (link["l"] >= 0, "link.delay", "link delay must be >= 0"),
+        (link["q"] >= 0, "link.queue_delay", "queue delay must be >= 0"),
+        (opts["max_attempts"] >= 1, "sim.max_attempts", "max attempts must be >= 1"),
+        (opts["control_bits"] >= 0, "sim.control_bits", "control bits must be >= 0"),
+        (opts["idle_power"] >= 0, "sim.idle_power", "idle power must be >= 0"),
+        (opts["initial_energy"] > 0, "sim.initial_energy", "initial energy must be > 0"),
+        (opts["background_nodes"] >= 0, "comparison.background_nodes",
+         "background node count must be >= 0"),
+    ]
+    if field_mode:
+        nodes, source, sink = opts["field_nodes"], opts["source"], opts["sink"]
+        checks += [
+            (nodes >= 2, "field.nodes", "field needs at least 2 nodes"),
+            (min(opts["area"]) > 0, "field.area", "area dimensions must be > 0"),
+            (opts["radio_range"] > 0, "field.radio_range", "radio range must be > 0"),
+            (0.0 <= opts["redundant_fraction"] <= 1.0, "field.redundant_fraction",
+             "redundant fraction must be in [0, 1]"),
+            (opts["max_paths"] >= 1, "field.max_paths", "max paths must be >= 1"),
+            (opts["field_seed"] >= 0, "field.seed", "field seed must be >= 0"),
+            (0 <= source < nodes, "field.source", f"source must be a node id in [0, {nodes})"),
+            (0 <= sink < nodes, "field.sink", f"sink must be a node id in [0, {nodes})"),
+            (source != sink, "field.sink", "source and sink must differ"),
+        ]
+    for ok, key, message in checks:
+        if not ok:
+            raise ScenarioError(message, key, lines.get(key))
+
+    cfg = ScenarioConfig(mode="explicit" if explicit else "field", packets=packets,
+                         schemes=schemes, ep=EnergyParams(**energy),
+                         link=LinkParams(**link), **opts)
 
     if explicit:
         cfg.hops = _conv(raw, lines, "paths.hops", int)
@@ -222,7 +266,7 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         taus = _conv(raw, lines, "paths.tau", float, default=None)
         if taus is None:
             from .model import per_hop_delay
-            taus = [per_hop_delay(ep.S, link)]
+            taus = [per_hop_delay(cfg.ep.S, cfg.link)]
         if len(taus) == 1:
             taus = taus * len(cfg.hops)
         if len(taus) != len(cfg.hops):
@@ -238,31 +282,6 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         if cfg.redundant < 0:
             raise ScenarioError("redundant count must be >= 0", "paths.redundant",
                                 lines.get("paths.redundant"))
-    checks = [
-        (cfg.max_attempts >= 1, "sim.max_attempts", "max attempts must be >= 1"),
-        (cfg.control_bits >= 0, "sim.control_bits", "control bits must be >= 0"),
-        (cfg.idle_power >= 0, "sim.idle_power", "idle power must be >= 0"),
-        (cfg.initial_energy > 0, "sim.initial_energy", "initial energy must be > 0"),
-        (cfg.background_nodes >= 0, "comparison.background_nodes",
-         "background node count must be >= 0"),
-    ]
-    if field_mode:
-        checks += [
-            (cfg.field_nodes >= 2, "field.nodes", "field needs at least 2 nodes"),
-            (min(cfg.area) > 0, "field.area", "area dimensions must be > 0"),
-            (cfg.radio_range > 0, "field.radio_range", "radio range must be > 0"),
-            (0.0 <= cfg.redundant_fraction <= 1.0, "field.redundant_fraction",
-             "redundant fraction must be in [0, 1]"),
-            (cfg.max_paths >= 1, "field.max_paths", "max paths must be >= 1"),
-            (0 <= cfg.source < cfg.field_nodes, "field.source",
-             f"source must be a node id in [0, {cfg.field_nodes})"),
-            (0 <= cfg.sink < cfg.field_nodes, "field.sink",
-             f"sink must be a node id in [0, {cfg.field_nodes})"),
-            (cfg.source != cfg.sink, "field.sink", "source and sink must differ"),
-        ]
-    for ok, key, message in checks:
-        if not ok:
-            raise ScenarioError(message, key, lines.get(key))
 
     # the ids the network will have: the field's nodes, or the synthesized
     # layout's source, sink, path interiors and spares
@@ -278,6 +297,9 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         except ValueError:
             raise ScenarioError(f"cannot parse fault {' '.join(values)!r}",
                                 "fault", lineno) from None
+        if not math.isfinite(t):
+            raise ScenarioError(f"fault time must be finite, got {values[1]!r}",
+                                "fault", lineno)
         if (kind, len(ids)) not in (("node_fail", 1), ("link_fail", 2)):
             raise ScenarioError(
                 "fault must be 'node_fail <t> <id>' or 'link_fail <t> <u> <v>'",

@@ -377,7 +377,6 @@ class _Engine:
                  config: SimConfig, destination: int | None):
         table.check_fresh(g)
         self.g = g
-        self.table = table
         self.dist = dist
         self.ep = ep
         self.link = link
@@ -511,7 +510,8 @@ class _Engine:
                             "source/sink cannot be replaced")
             return
         try:
-            spare = replace_failed_node(self.g, failed, self.table, near=initiator)
+            spare = replace_failed_node(self.g, failed, near=initiator,
+                                        exclude=frozenset(self.fabric))
         except UnrecoverableFailureError:
             self._fail_path(t, pr, case, failed, initiator, "")
             return

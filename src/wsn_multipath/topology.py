@@ -4,20 +4,19 @@ Nodes live on a plane. The graph keeps one adjacency: for each alive node,
 its alive neighbours within the radio range in ascending id order, built from
 the positions once, when the graph is made: one k-d tree range query gives
 the pairs as an array, and numpy sorts and splits them into lists. Failures
-and link cuts then edit it in place; nothing is rebuilt. ``neighbors`` and
+and link cuts then update it; nothing is rebuilt. ``neighbors`` and
 ``has_edge`` both read it, so route discovery, beacons and the transfer
 engine share one rule for "u and v are linked". The graph is a single-writer
 structure: mutations bump ``version`` so routing tables built against an
 older topology can be detected as stale.
 
-``copy`` is copy-on-write. The copy shares every ``Node`` and neighbour list
-with its parent and costs two shallow dict copies; a graph method that writes
-a node or a list (``fail_node``, ``disable_link``, ``activate_spare``,
-``set_residual``) first gives the writing graph its own copy of it, and
-after a ``copy`` the parent copies on its first write too. So a copy costs
-what its writes touch, not the field. Writing ``g.nodes[i].<attr>``
-directly is not supported: it would show through every graph sharing that
-node.
+Writes replace, they never edit in place: ``fail_node``, ``activate_spare``
+and ``set_residual`` store a new ``Node`` in this graph's ``nodes`` dict, and
+``fail_node`` and ``disable_link`` store new neighbour lists in its
+adjacency. So ``copy`` is two shallow dict copies that share every ``Node``
+and list with the parent, and a write to either graph never shows through
+the other. Writing ``g.nodes[i].<attr>`` directly is not supported: it would
+show through every graph sharing that node.
 """
 
 from __future__ import annotations
@@ -84,32 +83,19 @@ class TopologyGraph:
         ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
         self._adjacency: dict[int, list[int]] = {
             u: flat[start:end] for u, start, end in zip(ids, [0] + ends, ends)}
-        # ids whose Node / neighbour list no other graph shares
-        self._own_nodes = set(self.nodes)
-        self._own_lists = set(self._adjacency)
 
     def copy(self) -> TopologyGraph:
-        """An independent graph in this one's state, sharing until written."""
+        """An independent graph in this one's state; writes replace, so it
+        shares every node and neighbour list with this one."""
         g = TopologyGraph.__new__(TopologyGraph)
         g.nodes = dict(self.nodes)
         g.radio_range = self.radio_range
         g.version = self.version
         g._adjacency = dict(self._adjacency)
-        g._own_nodes, g._own_lists = set(), set()
-        self._own_nodes, self._own_lists = set(), set()
         return g
 
-    def _node_for_write(self, node_id: int) -> Node:
-        if node_id not in self._own_nodes:
-            self.nodes[node_id] = replace(self.nodes[node_id])
-            self._own_nodes.add(node_id)
-        return self.nodes[node_id]
-
-    def _list_for_write(self, node_id: int) -> list[int]:
-        if node_id not in self._own_lists:
-            self._adjacency[node_id] = self._adjacency[node_id][:]
-            self._own_lists.add(node_id)
-        return self._adjacency[node_id]
+    def _unlink(self, u: int, v: int):
+        self._adjacency[u] = [w for w in self._adjacency[u] if w != v]
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -133,27 +119,26 @@ class TopologyGraph:
 
     def fail_node(self, node_id: int):
         if self.nodes[node_id].alive:
-            self._node_for_write(node_id).status = FAILED
+            self.nodes[node_id] = replace(self.nodes[node_id], status=FAILED)
             for v in self._adjacency.pop(node_id):
-                self._list_for_write(v).remove(node_id)
+                self._unlink(v, node_id)
             self.version += 1
 
     def disable_link(self, u: int, v: int):
         if self.has_edge(u, v):
-            self._list_for_write(u).remove(v)
-            self._list_for_write(v).remove(u)
+            self._unlink(u, v)
+            self._unlink(v, u)
             self.version += 1
 
     def activate_spare(self, node_id: int, assumed_id: int | None = None):
         """Turn a redundant node into a regular route participant."""
-        node = self._node_for_write(node_id)
-        node.is_redundant = False
-        node.assumed_id = assumed_id
+        self.nodes[node_id] = replace(self.nodes[node_id], is_redundant=False,
+                                      assumed_id=assumed_id)
         self.version += 1
 
     def set_residual(self, node_id: int, joules: float):
         """Store a node's residual energy; the topology is unchanged."""
-        self._node_for_write(node_id).residual_energy = joules
+        self.nodes[node_id] = replace(self.nodes[node_id], residual_energy=joules)
 
     def nearest_redundant(self, near: int, exclude: frozenset[int] = frozenset()) -> Node | None:
         """Closest alive redundant node to ``near``; lowest id wins ties."""

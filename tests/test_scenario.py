@@ -220,11 +220,37 @@ energy.k_r 0.01
         ("sim.control_bits", "-100"),
         ("sim.initial_energy", "0"),
         ("sim.initial_energy", "-3"),
+        ("field.seed", "-1"),
+        ("link.bit_rate", "0"),
+        ("link.delay", "-0.1"),
+        ("link.queue_delay", "-1"),
+        ("energy.packet_bits", "0"),
+        ("energy.e_r", "-0.5"),
+        ("energy.e_d", "-1"),
+        ("energy.e_t", "nan"),
+        ("energy.k_r", "inf"),
+        ("link.bit_rate", "inf"),
+        ("field.radio_range", "nan"),
+        ("field.area", "80 inf"),
+        ("sim.idle_power", "-inf"),
     ])
     def test_out_of_range_value_reports_field_and_line(self, key, value):
-        e = self.err(self.RANGE_BASE + f"{key} {value}\n")
+        # a key the base already sets is moved to the last line
+        base = [l for l in self.RANGE_BASE.splitlines() if l.split()[0] != key]
+        e = self.err("\n".join(base + [f"{key} {value}"]) + "\n")
         assert e.field == key
-        assert e.line == 7
+        assert e.line == len(base) + 1
+
+    @pytest.mark.parametrize("line", [
+        "paths.tau nan",
+        "paths.distance inf",
+        "fault node_fail nan 3",
+        "fault link_fail inf 3 4",
+    ])
+    def test_non_finite_explicit_value_reports_field_and_line(self, line):
+        e = self.err(self.EXPLICIT_BASE + line + "\n")
+        assert (e.field, e.line) == (line.split()[0], 8)
+        assert "finite" in str(e)
 
 
 class TestSynthesizedTopology:

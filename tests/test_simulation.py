@@ -170,6 +170,20 @@ class TestCaseTwoRecovery:
         assert "AckTimeout" in kinds
 
 
+class TestTableReadOnly:
+    def test_recovery_leaves_routing_table_as_built(self):
+        cfg, g, table, dist, t = single_path_net(packets=3, spares=2)
+        before = ({d: list(rs) for d, rs in table.entries.items()}, table.version)
+        faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
+                           destination=t)
+        # routes, profiles and version all unchanged; the spare lives in the report
+        assert (table.entries, table.version) == before
+        assert [fr.replacement for fr in rep.fault_records if fr.drove_recovery] == [6]
+        assert 6 in rep.fabric_nodes
+        assert rep.total_delivered == 3
+
+
 class TestUnrecoverable:
     def test_no_spares_drops_remaining(self):
         cfg, g, table, dist, t = single_path_net(packets=4, spares=0)
