@@ -16,11 +16,8 @@ from .model import (
     path_edp,
     path_energy,
     per_hop_delay,
-    rx_energy_per_bit,
-    tx_energy_per_bit,
 )
 from .distribution import (
-    BoundReport,
     DegeneratePathError,
     Distribution,
     NoCapacityError,
@@ -50,16 +47,7 @@ from .routing import (
     estimate_path_params,
     replace_failed_node,
 )
-from .simulation import (
-    EnergyLedger,
-    FaultCase,
-    FaultEvent,
-    FaultRecord,
-    FaultScript,
-    SimConfig,
-    TransferReport,
-    run_transfer,
-)
+from .simulation import FaultCase, FaultEvent, FaultScript, SimConfig, run_transfer
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -68,26 +56,24 @@ from .scenario import (
     load_scenario,
     parse_scenario,
 )
-from .harness import ComparisonReport, SchemeRun, emit_outputs, run_comparison
+from .harness import emit_outputs, run_comparison
 
 __version__ = "0.1.0"
 
+# what the demos, the command line and the tests take from the package root;
+# everything else is imported from its module
 __all__ = [
     "EnergyParams", "LinkParams", "PathProfile", "per_hop_delay", "path_delay",
-    "tx_energy_per_bit", "rx_energy_per_bit", "packet_comm_energy",
-    "path_energy", "path_edp", "average_edp",
-    "Scheme", "Distribution", "QuadraticCoefficients", "BoundReport",
-    "DegeneratePathError", "NoCapacityError", "coefficients_for_path",
-    "solve_max_packets", "largest_remainder", "normalize_distribution",
-    "allocate", "verify_edp_bound",
+    "packet_comm_energy", "path_energy", "path_edp", "average_edp",
+    "Scheme", "Distribution", "QuadraticCoefficients", "DegeneratePathError",
+    "NoCapacityError", "coefficients_for_path", "solve_max_packets",
+    "largest_remainder", "normalize_distribution", "allocate", "verify_edp_bound",
     "Node", "TopologyGraph", "UnrecoverableFailureError", "deploy_field",
     "dump_topology", "parse_topology",
     "Route", "RoutingTable", "StaleRouteError", "discover_disjoint_paths",
     "estimate_path_params", "build_routing_table", "replace_failed_node",
-    "EnergyLedger", "FaultCase", "FaultEvent", "FaultRecord", "FaultScript",
-    "SimConfig", "TransferReport", "run_transfer",
+    "FaultCase", "FaultEvent", "FaultScript", "SimConfig", "run_transfer",
     "ScenarioConfig", "ScenarioError", "parse_scenario", "load_scenario",
     "build_network", "bundled_scenario_path",
-    "ComparisonReport", "SchemeRun", "run_comparison", "emit_outputs",
-    "__version__",
+    "run_comparison", "emit_outputs",
 ]

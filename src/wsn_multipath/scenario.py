@@ -187,6 +187,11 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         raise ScenarioError(
             f"exactly one of 'paths.hops' or 'field.nodes' must be given, got {which}",
             field_name="paths.hops")
+    mode, other = ("explicit", "field.") if explicit else ("field", "paths.")
+    for key in raw:
+        if key.startswith(other):
+            raise ScenarioError(f"field {key!r} does not apply to a {mode} scenario",
+                                field_name=key, line=lines[key])
 
     energy = {name: _one(raw, lines, key, float, default=d, required=d is None)
               for name, (key, d) in _ENERGY_FIELDS.items()}
@@ -255,7 +260,7 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
         if not ok:
             raise ScenarioError(message, key, lines.get(key))
 
-    cfg = ScenarioConfig(mode="explicit" if explicit else "field", packets=packets,
+    cfg = ScenarioConfig(mode=mode, packets=packets,
                          schemes=schemes, ep=EnergyParams(**energy),
                          link=LinkParams(**link), **opts)
 

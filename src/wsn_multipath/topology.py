@@ -2,13 +2,13 @@
 
 Nodes live on a plane. The graph keeps one adjacency: for each alive node,
 its alive neighbours within the radio range in ascending id order, built from
-the positions once, when the graph is made: one k-d tree range query gives
-the pairs as an array, and numpy sorts and splits them into lists. Failures
-and link cuts then update it; nothing is rebuilt. ``neighbors`` and
-``has_edge`` both read it, so route discovery, beacons and the transfer
-engine share one rule for "u and v are linked". The graph is a single-writer
-structure: mutations bump ``version`` so routing tables built against an
-older topology can be detected as stale.
+the positions once, when the graph is made: a uniform cell grid gives the
+pairs within range as an array (``_pairs_within``), and numpy sorts and
+splits them into lists. Failures and link cuts then update it; nothing is
+rebuilt. ``neighbors`` and ``has_edge`` both read it, so route discovery,
+beacons and the transfer engine share one rule for "u and v are linked".
+The graph is a single-writer structure: mutations bump ``version`` so
+routing tables built against an older topology can be detected as stale.
 
 Writes replace, they never edit in place: ``fail_node``, ``activate_spare``
 and ``set_residual`` store a new ``Node`` in this graph's ``nodes`` dict, and
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Node",
@@ -58,9 +57,58 @@ class Node:
         return self.status == ALIVE
 
 
+_SPANS_PER_BLOCK = 2048
+
+
+def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
+    """Each pair ``(i, j)`` of rows of the ``(n, 2)`` array ``pts`` with
+    ``dx*dx + dy*dy <= r*r`` in float64, once, in no particular order.
+
+    Points are bucketed into square cells of side at least ``r`` and sorted
+    by cell key, so a pair in range lies in one cell or in two adjacent
+    ones. Each point is compared with the later points of its own cell and
+    the points of the 4 forward neighbour cells (up, and the three in the
+    next column), so every candidate pair is seen once. Own cell plus the
+    cell above, and the three cells of the next column, are each one run of
+    consecutive keys, so two ``searchsorted`` spans per point cover them.
+    The spans are expanded and tested a block at a time to bound memory.
+    """
+    n, r = len(pts), float(r)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.intp)
+    lo = pts.min(axis=0)
+    # at most 2**20 cells a side, so the int64 key cannot overflow; the
+    # 2**-20 margin keeps two points whose rounded distance passes the test
+    # in the same or adjacent cells despite rounding in the cell arithmetic
+    side = max(r, float((pts.max(axis=0) - lo).max()) / 2**20) * (1 + 2**-20)
+    # an empty row of cells below and above, so a step of one cell in y
+    # never reaches into the next column's cells
+    cells = ((pts - lo) / side).astype(np.int64) + 1
+    ny = int(cells[:, 1].max()) + 2
+    keys = cells[:, 0] * ny + cells[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    xs, ys = pts[order, 0], pts[order, 1]
+    here = np.arange(n)
+    src = np.concatenate((here, here))
+    first = np.concatenate((here + 1, np.searchsorted(keys, keys + ny - 1)))
+    end = np.concatenate((np.searchsorted(keys, keys + 2),
+                          np.searchsorted(keys, keys + ny + 2)))
+    found = []
+    for s in range(0, 2 * n, _SPANS_PER_BLOCK):
+        block = slice(s, s + _SPANS_PER_BLOCK)
+        counts = end[block] - first[block]
+        a = np.repeat(src[block], counts)
+        b = np.arange(len(a)) + np.repeat(first[block] - (np.cumsum(counts) - counts), counts)
+        dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+        hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
+        found.append(np.stack((order[a[hit]], order[b[hit]]), axis=1))
+    return np.concatenate(found)
+
+
 class TopologyGraph:
     def __init__(self, nodes: list[Node], radio_range: float):
-        if radio_range <= 0:
+        if not radio_range > 0:
             raise ValueError(f"radio range must be > 0, got {radio_range}")
         self.nodes: dict[int, Node] = {}
         for n in nodes:
@@ -71,10 +119,13 @@ class TopologyGraph:
         self.version = 1
         ids = sorted(self.alive_ids())
         n = len(ids)
-        pairs = np.empty((0, 2), dtype=np.intp)
-        if n > 1:
-            pts = np.array([self.nodes[i].position for i in ids])
-            pairs = cKDTree(pts).query_pairs(radio_range, output_type="ndarray")
+        pts = np.array([self.nodes[i].position for i in ids],
+                       dtype=np.float64).reshape(n, 2)
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            bad = self.nodes[ids[int(np.argmin(finite))]]
+            raise ValueError(f"node {bad.id} has a non-finite position {bad.position}")
+        pairs = _pairs_within(pts, radio_range)
         # each pair in both directions as one key, row * n + column, so one
         # sort groups the pairs by node and orders each group by neighbour
         keys = np.sort(np.concatenate((pairs[:, 0] * n + pairs[:, 1],
@@ -201,12 +252,13 @@ def parse_topology(text: str, radio_range: float) -> TopologyGraph:
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 'id x y energy redundant_flag', got {raw!r}")
         try:
-            nodes.append(Node(
-                id=int(parts[0]),
-                position=(float(parts[1]), float(parts[2])),
-                residual_energy=float(parts[3]),
-                is_redundant=bool(int(parts[4])),
-            ))
+            x, y, energy = (float(v) for v in parts[1:4])
+            for name, v in (("x", x), ("y", y), ("energy", energy)):
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
+            nodes.append(Node(id=int(parts[0]), position=(x, y),
+                              residual_energy=energy,
+                              is_redundant=bool(int(parts[4]))))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return TopologyGraph(nodes, radio_range=radio_range)

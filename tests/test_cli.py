@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wsn_multipath
 from wsn_multipath import bundled_scenario_path
 from wsn_multipath.cli import main
 
@@ -25,6 +29,21 @@ energy.e_t 0.128
 energy.e_r 0.1024
 energy.k_r 0
 sim.idle_power 0
+"""
+
+SMALL_FIELD = """
+field.nodes 400
+field.area 150 150
+field.radio_range 24
+field.seed 3
+field.source 0
+field.sink 1
+packets 60
+link.bit_rate 50000
+energy.e_t 0.128
+energy.e_r 0.1024
+energy.k_r 0.024
+sim.idle_power 409.6e-6
 """
 
 
@@ -156,3 +175,36 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestWithoutScipy:
+    """The command line never imports scipy: a run in a process where any
+    scipy import fails writes the same bytes as a normal run."""
+
+    PLAIN = "import sys; from wsn_multipath.cli import main; sys.exit(main())"
+    BLOCKED = "import sys; sys.modules['scipy'] = None; " + PLAIN
+
+    def outputs(self, prelude, scenario, run_dir, *args):
+        run_dir.mkdir()
+        src = str(Path(wsn_multipath.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", prelude, "run", str(scenario), "--out", "out", *args],
+            cwd=run_dir, capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+        files = {f.name: f.read_bytes() for f in sorted((run_dir / "out").glob("*"))}
+        return proc.returncode, proc.stdout, proc.stderr, files
+
+    def test_bundled_scenario(self, bench_path, tmp_path):
+        plain = self.outputs(self.PLAIN, bench_path, tmp_path / "plain")
+        assert plain[0] == 0 and b"Traceback" not in plain[2]
+        assert self.outputs(self.BLOCKED, bench_path, tmp_path / "blocked") == plain
+
+    def test_field_with_a_node_failure(self, tmp_path, capsys):
+        scn = tmp_path / "field.scenario"
+        scn.write_text(SMALL_FIELD)
+        assert main(["paths", str(scn)]) == 0
+        route = capsys.readouterr().out.splitlines()[0].split(": ")[1].split(",")
+        scn.write_text(SMALL_FIELD + f"fault node_fail 0.05 {route[1]}\n")
+        plain = self.outputs(self.PLAIN, scn, tmp_path / "plain", "--trace")
+        assert plain[0] in (0, 3) and "trace_single_path.txt" in plain[3]
+        assert self.outputs(self.BLOCKED, scn, tmp_path / "blocked", "--trace") == plain

@@ -252,6 +252,20 @@ energy.k_r 0.01
         assert (e.field, e.line) == (line.split()[0], 8)
         assert "finite" in str(e)
 
+    @pytest.mark.parametrize("base, line", [
+        ("RANGE_BASE", "paths.tau nan"),
+        ("RANGE_BASE", "paths.redundant -4"),
+        ("RANGE_BASE", "paths.distance 100"),
+        ("EXPLICIT_BASE", "field.seed -7"),
+        ("EXPLICIT_BASE", "field.radio_range 0"),
+        ("EXPLICIT_BASE", "field.area 80 80"),
+    ])
+    def test_other_mode_key_reports_field_and_line(self, base, line):
+        text = getattr(self, base)
+        e = self.err(text + line + "\n")
+        assert (e.field, e.line) == (line.split()[0], len(text.splitlines()) + 1)
+        assert "does not apply" in str(e)
+
 
 class TestSynthesizedTopology:
     def test_node_count_matches_hops(self, bench_scenario_text):

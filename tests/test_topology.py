@@ -41,6 +41,16 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             TopologyGraph(nodes, radio_range=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_position_rejected(self, bad, axis):
+        position = [3.0, 4.0]
+        position[axis] = bad
+        nodes = [Node(id=0, position=(0.0, 0.0), residual_energy=1.0),
+                 Node(id=7, position=tuple(position), residual_energy=1.0)]
+        with pytest.raises(ValueError, match="node 7 has a non-finite position"):
+            TopologyGraph(nodes, radio_range=5.0)
+
     def test_fail_node_bumps_version_and_drops_edges(self):
         g = grid_graph()
         v = g.version
@@ -60,7 +70,7 @@ class TestGraphBasics:
 
     def test_edge_at_range_boundary_follows_neighbors(self):
         # a pair at exactly the radio range, where a direct hypot test and
-        # the k-d tree's range query once disagreed
+        # the squared-distance range test once disagreed
         nodes = [Node(id=0, position=(0.0, 0.0), residual_energy=1.0),
                  Node(id=1, position=(1.0483280999484756, 12.164259424505179),
                       residual_energy=1.0)]
@@ -175,21 +185,60 @@ def pairwise_adjacency(nodes, radio):
     return adj
 
 
+_INTS = st.integers(0, 12).map(float)
+_FLOATS = st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def layouts(draw):
+    """(points, radio), points as (x, y, alive, id) with sparse unordered ids.
+
+    Integer points put many pairs at exactly the range (3-4-5 triangles);
+    float points may take the range from one of their own pairs' distances.
+    Also duplicate positions, one row, one column, and points 1e12 apart with
+    a range of 1e-2, which is too wide for cells as small as the range.
+    """
+    kind = draw(st.sampled_from(["integer", "float", "duplicate", "row", "column",
+                                 "wide"]))
+    radio = draw(st.sampled_from([0.5, 1.0, 3.0, 5.0, 7.5, 20.0]))
+    if kind == "integer":
+        xy = st.tuples(_INTS, _INTS)
+    elif kind == "float":
+        xy = st.tuples(_FLOATS, _FLOATS)
+    elif kind == "duplicate":
+        xy = st.sampled_from(draw(st.lists(st.tuples(_FLOATS, _FLOATS),
+                                           min_size=1, max_size=4)))
+    elif kind == "row":
+        xy = st.tuples(_FLOATS, st.just(draw(_FLOATS)))
+    elif kind == "column":
+        xy = st.tuples(st.just(draw(_FLOATS)), _FLOATS)
+    else:
+        far = st.integers(-3, 3).map(lambda k: k * 1e12)
+        near = st.floats(0.0, 0.02, allow_nan=False)
+        xy = st.tuples(st.builds(float.__add__, far, near), near)
+        radio = 1e-2
+    points = draw(st.lists(st.tuples(xy, st.booleans(), st.integers(0, 10**6)),
+                           max_size=40, unique_by=lambda p: p[2]))
+    if kind in ("float", "row", "column") and len(points) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(points))))[:2]
+        radio = math.dist(points[i][0], points[j][0]) or radio
+    return [(x, y, up, i) for (x, y), up, i in points], radio
+
+
 class TestAdjacencyBuild:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.booleans(),
-                              st.integers(0, 10**6)),
-                    max_size=40, unique_by=lambda p: p[3]),
-           st.sampled_from([1.0, 3.0, 5.0, 7.5, 20.0]))
-    @example([], 5.0)
-    @example([(0, 0, True, 7)], 5.0)
-    @example([(0, 0, True, 9), (3, 4, True, 2)], 5.0)
-    @example([(0, 0, True, 9), (3, 4, False, 2), (0, 5, True, 4), (4, 3, True, 40)], 5.0)
-    def test_matches_pairwise_build(self, points, radio):
-        # integer points put many pairs at exactly the range (3-4-5
-        # triangles); ids are sparse and unordered, and some nodes are
-        # already failed when the graph is made
-        nodes = [Node(id=i, position=(float(x), float(y)), residual_energy=1.0,
+    @settings(max_examples=500, deadline=None)
+    @given(layouts())
+    @example(([], 5.0))
+    @example(([(0.0, 0.0, True, 7)], 5.0))
+    @example(([(0.0, 0.0, True, 9), (3.0, 4.0, True, 2)], 5.0))
+    @example(([(0.0, 0.0, True, 9), (3.0, 4.0, False, 2), (0.0, 5.0, True, 4),
+               (4.0, 3.0, True, 40)], 5.0))
+    @example(([(0.0, 0.0, True, 1), (1e12, 0.0, True, 2), (1e12 + 0.005, 0.0, True, 3),
+               (-1e12, 0.01, True, 4)], 1e-2))
+    def test_matches_pairwise_build(self, layout):
+        # some nodes are already failed when the graph is made
+        points, radio = layout
+        nodes = [Node(id=i, position=(x, y), residual_energy=1.0,
                       status=ALIVE if up else FAILED) for x, y, up, i in points]
         g = TopologyGraph(nodes, radio_range=radio)
         want = pairwise_adjacency(nodes, radio)
@@ -198,6 +247,12 @@ class TestAdjacencyBuild:
             assert nbrs == want.get(n.id, [])
             assert all(type(v) is int for v in nbrs)
             assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+
+    @pytest.mark.parametrize("count, side", [(1_500, 300.0), (50_000, 1732.0)])
+    def test_deployed_field_matches_pairwise_build(self, count, side):
+        g = deploy_field((side, side), count, seed=3, radio_range=24.0)
+        want = pairwise_adjacency(list(g.nodes.values()), 24.0)
+        assert all(g.neighbors(i) == want[i] for i in g.nodes)
 
     def test_copy_is_independent(self):
         g = grid_graph()
@@ -294,3 +349,12 @@ class TestTextFormat:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_topology("0 0 0 5 0\n1 1 0\n", radio_range=1.0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column, name", [(1, "x"), (2, "y"), (3, "energy")])
+    def test_non_finite_value_reports_line(self, bad, column, name):
+        fields = ["4", "1.0", "2.0", "10.0", "0"]
+        fields[column] = bad
+        text = "0 0 0 10 0\n# spare below\n" + " ".join(fields) + "\n"
+        with pytest.raises(ValueError, match=f"line 3: {name} must be finite"):
+            parse_topology(text, radio_range=5.0)
