@@ -182,10 +182,15 @@ def allocate(scheme: Scheme, ep: EnergyParams, paths: list[PathProfile], D: int)
         return Distribution(scheme=scheme, allocations=allocs, total=D)
 
     edp_avg = average_edp(ep, paths, D)
+    if not math.isfinite(edp_avg):
+        raise ValueError(f"the average-path EDP budget overflows (got {edp_avg})")
     raw = []
     for p in paths:
-        coeffs = coefficients_for_path(ep, p, edp_avg)
-        raw.append((p.path_id, solve_max_packets(coeffs)))
+        capacity = solve_max_packets(coefficients_for_path(ep, p, edp_avg))
+        if not math.isfinite(capacity):
+            raise ValueError(f"path {p.path_id}: the EDP-bounded packet capacity "
+                             f"is not finite (got {capacity})")
+        raw.append((p.path_id, capacity))
     return normalize_distribution(raw, D, scheme=Scheme.ADAPTIVE)
 
 

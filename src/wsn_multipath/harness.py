@@ -129,6 +129,9 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
     for r in runs:
         n_sensing = len(r.transfer.fabric_nodes) + cfg.background_nodes
         r.sensing_energy = cfg.ep.K_r * t_obs * n_sensing
+        for name, value in (("sensing", r.sensing_energy), ("total", r.total_energy)):
+            if not math.isfinite(value):
+                raise ValueError(f"{r.label}: the {name} energy overflows")
     rep = ComparisonReport(packets=cfg.packets, runs=runs,
                            observation_window=t_obs,
                            fabric_count=fabric_count,

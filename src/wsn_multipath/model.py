@@ -65,7 +65,13 @@ class EnergyParams:
 
     def amplified_tx_power(self, d: float) -> float:
         """Effective transmit power e_t + e_d * d^k at hop distance d."""
-        return self.e_t + self.e_d * d**self.k
+        try:
+            power = self.e_t + self.e_d * d**self.k
+            if math.isfinite(power):
+                return power
+        except OverflowError:
+            pass
+        raise ValueError(f"transmit power e_t + e_d * d^k overflows at d={d:g} m, k={self.k:g}")
 
 
 @dataclass(frozen=True)
@@ -172,9 +178,12 @@ def average_edp(ep: EnergyParams, paths: list[PathProfile], D: float) -> float:
         raise ValueError("average_edp needs at least one path")
     if D < 0:
         raise ValueError(f"total packet count must be >= 0, got {D}")
-    h_avg = math.fsum(p.H for p in paths) / len(paths)
-    tau_avg = math.fsum(p.tau for p in paths) / len(paths)
-    t_avg = math.fsum(p.T_dist for p in paths) / len(paths)
+    try:
+        h_avg = math.fsum(p.H for p in paths) / len(paths)
+        tau_avg = math.fsum(p.tau for p in paths) / len(paths)
+        t_avg = math.fsum(p.T_dist for p in paths) / len(paths)
+    except OverflowError:
+        raise ValueError("the paths' mean per-hop delay or distance overflows") from None
     load = D / len(paths)
     nodes = h_avg + 1.0
     per_bit = ep.amplified_tx_power(t_avg / h_avg) * ep.T_1b + ep.e_r * ep.T_2b

@@ -202,5 +202,5 @@ def replace_failed_node(g: TopologyGraph, failed_id: int, near: int | None = Non
     if spare is None:
         raise UnrecoverableFailureError(
             f"no redundant node available to replace node {failed_id}")
-    g.activate_spare(spare.id, assumed_id=failed_id)
+    g.activate_spare(spare.id)
     return spare.id

@@ -13,31 +13,34 @@ route fabric and beacon neighbours, not the whole field; the residuals of
 charged nodes are written back to the graph when the round ends.
 
 Fault handling mirrors a two-sided detection protocol. The receiver of a hop
-arms a timer for m*tau past the expected arrival; a sender that fails m
-delivery attempts pings a neighbor to check its own radio. Whichever check
-concludes first drives recovery, the other is logged as a non-driving
-detection. Recovery swaps the unreachable node for the nearest redundant
-spare and resumes from the last holder of the packet. When both ends of the
-hop are dead nobody is left to detect the fault, so the path fails when the
-receiver's timer is due and its remaining packets are dropped.
+arms a timer for m*tau past the expected arrival; an unacknowledged sender
+retries, and after m attempts pings a neighbor to check its own radio.
+Whichever check concludes first drives recovery, the other is logged as a
+non-driving detection. Recovery swaps the unreachable node for the nearest
+redundant spare and resumes from the last holder of the packet. When both ends
+of the hop are dead nobody is left to detect the fault, so the path fails when
+the receiver's timer is due and drops its remaining packets. Both checks act
+only on a failed hop, so a hop is a send and an arrival: an arrival over a
+missing link decides the ack timeout due at that instant, and the receiver's
+timer is pushed when the hop is first seen to fail, under the ``(time, seq)``
+key it took when the hop was sent.
 
 Between disruptions a path's progress follows from its hop time and per-hop
 charges alone, so the engine advances every path in one window instead of
-stepping four events per hop. A disruption is the next scripted fault, a
-pending beacon exchange or lost-race timer, a route with a dead node or
-broken link, a retry in progress, or a route node whose residual energy could
-reach zero. The window's flat loop applies the per-hop handlers' charges in
-the same per-path order and builds hop times by the same chain of ``t + tau``
-additions; a closed form such as ``t0 + k * H * tau`` would change the low
-bits and could move a hop across a fault scheduled on it. The source and
-sink, which every path charges, take those charges in the order stepping
-would pop the arrivals. At the window's end the in-flight hop's
-``PacketArrive``, ``AckTimeout`` and live ``TimerExpire`` go back on the heap
-in the order stepping would have pushed them, since same-time events of
+stepping every hop. A disruption is the next scripted fault, a pending beacon
+exchange or detection timer, a route with a dead node or broken link, or a
+route node whose residual energy could reach zero. The window's flat loop
+applies the per-hop handlers' charges in the same per-path order and builds
+hop times by the same chain of ``t + tau`` additions; a closed form such as
+``t0 + k * H * tau`` would change the low bits and could move a hop across a
+fault scheduled on it. The source and sink, which every path charges, take
+those charges in the order stepping would pop the arrivals. At the window's
+end each in-flight ``PacketArrive`` goes back on the heap and its timer's key
+is taken, in the order stepping would make them, since same-time events of
 different paths pop in push order; stale events, which the handlers would
-ignore, are dropped. The result is bit-identical to stepping. Events are
-stepped one at a time around disruptions, and throughout when
-``SimConfig.trace`` is set, so a trace still records every event.
+ignore, are dropped. The result is bit-identical to stepping.
+``SimConfig.trace`` steps every event, and the trace lists each one the engine
+acts on, in pop order.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ __all__ = [
 class EventKind(Enum):
     PACKET_SEND = "PacketSend"
     PACKET_ARRIVE = "PacketArrive"
-    ACK_TIMEOUT = "AckTimeout"
     BEACON_SEND = "BeaconSend"
     BEACON_RESULT = "BeaconResult"
     TIMER_EXPIRE = "TimerExpire"
@@ -88,7 +90,6 @@ class SimEvent:
     packet_id: int | None = None
     path_id: int | None = None
     instance: int = 0
-    attempt: int = 0
     payload: object = None
 
     def trace_line(self) -> str:
@@ -96,6 +97,17 @@ class SimEvent:
             return "-" if v is None else str(v)
         return (f"{self.time:.10g} {self.kind.value} {f(self.node_from)} "
                 f"{f(self.node_to)} {f(self.packet_id)} {f(self.path_id)}")
+
+
+def _finite_sum(values: list[float], what: str) -> float:
+    """``math.fsum`` of ``values``, refusing a total past the float range."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # intermediate overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise ValueError(f"the {what} total overflows")
+    return total
 
 
 class TransferActiveError(RuntimeError):
@@ -185,19 +197,11 @@ class EnergyLedger:
             self.path_comm[path_id] = _Kahan()
         return self.path_comm[path_id]
 
-    def charge_tx(self, node_id: int, joules: float, busy: float = 0.0,
-                  path_id: int | None = None) -> NodeLedger:
+    def charge(self, node_id: int, part: str, joules: float, busy: float = 0.0,
+               path_id: int | None = None) -> NodeLedger:
+        """Add ``joules`` to the node's ``part`` ("tx" or "rx")."""
         led = self.ensure(node_id)
-        led.tx.add(joules)
-        led.busy += busy
-        if path_id is not None:
-            self._path(path_id).add(joules)
-        return led
-
-    def charge_rx(self, node_id: int, joules: float, busy: float = 0.0,
-                  path_id: int | None = None) -> NodeLedger:
-        led = self.ensure(node_id)
-        led.rx.add(joules)
+        getattr(led, part).add(joules)
         led.busy += busy
         if path_id is not None:
             self._path(path_id).add(joules)
@@ -219,7 +223,8 @@ class EnergyLedger:
         return acc.value if acc else 0.0
 
     def total(self, component: str) -> float:
-        return math.fsum(getattr(led, component).value for led in self.nodes.values())
+        return _finite_sum([getattr(led, component).value for led in self.nodes.values()],
+                           f"{component} energy")
 
 
 @dataclass(frozen=True)
@@ -284,12 +289,9 @@ _RUNNING, _FAILED, _DONE = "running", "failed", "done"
 # pending events that end a window at their time
 _WINDOW_STOPS = (EventKind.FAULT_TRIGGER, EventKind.BEACON_SEND,
                  EventKind.BEACON_RESULT)
-# the pending events of a path that a window may advance: a hop about to be
-# sent, or a hop in flight, each with its receiver's live timer
-_CLEAN_HOPS = (
-    (EventKind.PACKET_SEND, EventKind.TIMER_EXPIRE),
-    (EventKind.PACKET_ARRIVE, EventKind.ACK_TIMEOUT, EventKind.TIMER_EXPIRE),
-)
+# the one pending event of a path that a window may advance: a hop about to
+# be sent, or a hop in flight
+_CLEAN_HOPS = (EventKind.PACKET_SEND, EventKind.PACKET_ARRIVE)
 
 
 class _PathRun:
@@ -312,8 +314,7 @@ class _PathRun:
         self.hop_start = 0.0  # send time of the current hop
         self.attempt = 0
         self.instance = 0     # bumped on every fresh hop start
-        self.hop_done = False
-        self.beacon_pending = False
+        self.deadline: tuple[float, int] | None = None  # hop's timer key until pushed
         self.last_recovery_instance: int | None = None
         self.delivery_time = 0.0
         self.resolved_time = 0.0
@@ -347,7 +348,8 @@ class TransferReport:
         return sum(self.dropped.values())
 
     def comm_energy(self) -> float:
-        return math.fsum(self.ledger.comm_for_path(p) for p in self.path_delays)
+        return _finite_sum([self.ledger.comm_for_path(p) for p in self.path_delays],
+                           "communication energy")
 
     def to_text(self) -> str:
         out = [f"transfer packets={self.distribution.total} m={self.m}"]
@@ -378,8 +380,6 @@ class _Engine:
         table.check_fresh(g)
         self.g = g
         self.dist = dist
-        self.ep = ep
-        self.link = link
         self.config = config
         self.tau_ctrl = per_hop_delay(config.control_bits, link)
         self.j_rx = ep.e_r * ep.T_2b * ep.S
@@ -429,20 +429,20 @@ class _Engine:
             self.g.fail_node(node_id)
 
     def _data_tx(self, node_id: int, pr: _PathRun, busy: float):
-        self._check_death(node_id, self.ledger.charge_tx(
-            node_id, pr.j_tx, busy=busy, path_id=pr.path_id))
+        self._check_death(node_id, self.ledger.charge(
+            node_id, "tx", pr.j_tx, busy, pr.path_id))
 
     def _data_rx(self, node_id: int, pr: _PathRun, busy: float):
-        self._check_death(node_id, self.ledger.charge_rx(
-            node_id, self.j_rx, busy=busy, path_id=pr.path_id))
+        self._check_death(node_id, self.ledger.charge(
+            node_id, "rx", self.j_rx, busy, pr.path_id))
 
     def _ctrl_tx(self, node_id: int, pr: _PathRun):
-        self._check_death(node_id, self.ledger.charge_tx(
-            node_id, pr.j_ctrl_tx, busy=self.tau_ctrl))
+        self._check_death(node_id, self.ledger.charge(
+            node_id, "tx", pr.j_ctrl_tx, self.tau_ctrl))
 
     def _ctrl_rx(self, node_id: int):
-        self._check_death(node_id, self.ledger.charge_rx(
-            node_id, self.j_ctrl_rx, busy=self.tau_ctrl))
+        self._check_death(node_id, self.ledger.charge(
+            node_id, "rx", self.j_ctrl_rx, self.tau_ctrl))
 
     # -- pipeline ---------------------------------------------------------
 
@@ -459,26 +459,34 @@ class _Engine:
         pr.instance += 1
         pr.hop_start = t
         pr.attempt = 1
-        pr.hop_done = False
-        pr.beacon_pending = False
         a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
-        tau = pr.profile.tau
         self._push(t, EventKind.PACKET_SEND, node_from=a, node_to=b,
-                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance,
-                   attempt=1)
-        # receiver arms its watchdog relative to the expected arrival
-        expected = t + tau
-        self._push(expected + self.config.max_attempts * tau, EventKind.TIMER_EXPIRE,
-                   node_from=b, packet_id=pr.pkt, path_id=pr.path_id,
-                   instance=pr.instance)
+                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
+        self._reserve_timer(pr)
+
+    def _reserve_timer(self, pr: _PathRun):
+        # the receiver's watchdog is due m*tau past the expected arrival;
+        # _arm_timer pushes it under this key if the hop fails
+        tau = pr.profile.tau
+        pr.deadline = (pr.hop_start + tau + self.config.max_attempts * tau, self.seq)
+        self.seq += 1
+
+    def _arm_timer(self, pr: _PathRun):
+        if pr.deadline is None:
+            return
+        time, seq = pr.deadline
+        pr.deadline = None
+        heapq.heappush(self.heap, (time, seq, SimEvent(
+            time=time, seq=seq, kind=EventKind.TIMER_EXPIRE,
+            node_from=pr.nodes[pr.hop + 1], packet_id=pr.pkt,
+            path_id=pr.path_id, instance=pr.instance)))
 
     def _retry(self, t: float, pr: _PathRun):
         pr.attempt += 1
         pr.retrans += 1
         a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
         self._push(t, EventKind.PACKET_SEND, node_from=a, node_to=b,
-                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance,
-                   attempt=pr.attempt)
+                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
 
     def _deliver(self, t: float, pr: _PathRun):
         pr.delivered += 1
@@ -534,29 +542,26 @@ class _Engine:
     # -- handlers ---------------------------------------------------------
 
     def _on_send(self, ev: SimEvent, pr: _PathRun):
-        if pr.state != _RUNNING or ev.instance != pr.instance or pr.hop_done:
+        if pr.state != _RUNNING or ev.instance != pr.instance:
             return
         a = ev.node_from
         if not self._alive(a):
+            self._arm_timer(pr)
             return  # silent sender; the receiver timer will notice
-        tau = pr.profile.tau
-        self._push(ev.time + tau, EventKind.PACKET_ARRIVE, node_from=a,
-                   node_to=ev.node_to, packet_id=ev.packet_id,
-                   path_id=pr.path_id, instance=ev.instance, attempt=ev.attempt)
-        self._push(ev.time + tau, EventKind.ACK_TIMEOUT, node_from=a,
-                   node_to=ev.node_to, packet_id=ev.packet_id,
-                   path_id=pr.path_id, instance=ev.instance, attempt=ev.attempt)
+        self._push(ev.time + pr.profile.tau, EventKind.PACKET_ARRIVE,
+                   node_from=a, node_to=ev.node_to, packet_id=ev.packet_id,
+                   path_id=pr.path_id, instance=ev.instance)
 
     def _on_arrive(self, ev: SimEvent, pr: _PathRun):
-        if pr.state != _RUNNING or ev.instance != pr.instance or pr.hop_done:
+        if pr.state != _RUNNING or ev.instance != pr.instance:
             return
         a, b = ev.node_from, ev.node_to
         if not self._alive(a):
+            self._arm_timer(pr)
             return  # died mid-flight
         tau = pr.profile.tau
         self._data_tx(a, pr, busy=tau)
         if self.g.has_edge(a, b):
-            pr.hop_done = True
             self._data_rx(b, pr, busy=tau)
             if b == pr.nodes[-1]:
                 self._data_tx(b, pr, busy=0.0)  # handoff out of the network
@@ -564,16 +569,12 @@ class _Engine:
             else:
                 pr.hop += 1
                 self._start_hop(ev.time, pr)
-
-    def _on_ack_timeout(self, ev: SimEvent, pr: _PathRun):
-        if pr.state != _RUNNING or ev.instance != pr.instance or pr.hop_done:
             return
-        if pr.beacon_pending:
-            return
-        a, b = ev.node_from, ev.node_to
+        # no ack comes back: the sender retries, then checks its radio by beacon
+        self._arm_timer(pr)
         if not self._alive(a):
-            return
-        if ev.attempt < self.config.max_attempts:
+            return  # the transmission spent the sender's last energy
+        if pr.attempt < self.config.max_attempts:
             self._retry(ev.time, pr)
             return
         c = _beacon_neighbor(self.g, a, avoid=b)
@@ -582,7 +583,6 @@ class _Engine:
             self._begin_recovery(ev.time, pr, FaultCase.NODE_SILENT,
                                  failed=a, initiator=a)
             return
-        pr.beacon_pending = True
         self._push(ev.time, EventKind.BEACON_SEND, node_from=a, node_to=c,
                    packet_id=ev.packet_id, path_id=pr.path_id,
                    instance=ev.instance)
@@ -607,7 +607,7 @@ class _Engine:
             return  # requester gone; its receiver-side timer path takes over
         self._ctrl_rx(a)
         b = pr.nodes[pr.hop + 1] if pr.hop + 1 < len(pr.nodes) else a
-        if pr.state == _RUNNING and ev.instance == pr.instance and not pr.hop_done:
+        if pr.state == _RUNNING and ev.instance == pr.instance:
             self._begin_recovery(ev.time, pr, FaultCase.HOP_UNREACHABLE,
                                  failed=b, initiator=a)
         elif ev.instance == pr.last_recovery_instance:
@@ -618,7 +618,7 @@ class _Engine:
 
     def _on_timer(self, ev: SimEvent, pr: _PathRun):
         b = ev.node_from
-        if pr.state == _RUNNING and ev.instance == pr.instance and not pr.hop_done:
+        if pr.state == _RUNNING and ev.instance == pr.instance:
             a = pr.nodes[pr.hop]
             if self._alive(b):
                 self._begin_recovery(ev.time, pr, FaultCase.NODE_SILENT,
@@ -749,7 +749,6 @@ class _Engine:
             pr.state = _DONE
             pr.pkt = None
             pr.hop = hops - 1
-            pr.hop_done = True
             pr.instance += k - 1
         else:
             pr.hop = hops - n
@@ -765,8 +764,7 @@ class _Engine:
         """
         running = [self.paths[pid] for pid in sorted(self.paths)
                    if self.paths[pid].state == _RUNNING]
-        if not all(pr.attempt == 1 and not pr.beacon_pending
-                   and self._route_intact(pr) for pr in running):
+        if not all(self._route_intact(pr) for pr in running):
             return False
         horizon = self._depletion_horizon(running, now)
         kept: list[tuple[float, int, SimEvent]] = []
@@ -783,19 +781,16 @@ class _Engine:
             # anything else is stale: its handler would ignore it
         if horizon <= now:
             return False
-        plans = []
-        for pr in running:
-            items = sorted(pending[pr.path_id])
-            if tuple(it[2].kind for it in items) not in _CLEAN_HOPS:
-                return False
-            plans.append((pr, items))
-
         walks, chains = [], []
-        for pr, items in plans:
-            t0, seq0, first = items[0]
+        for pr in running:
+            # _advance is a generator: nothing changes until merge runs it
+            items = pending[pr.path_id]
+            if len(items) != 1 or items[0][2].kind not in _CLEAN_HOPS:
+                return False
+            item = t0, seq0, first = items[0]
             sending = first.kind is EventKind.PACKET_SEND
             if sending and t0 >= horizon:
-                kept.extend(items)
+                kept.append(item)
                 continue
             tau = pr.profile.tau
             s, a = (t0, t0 + tau) if sending else (pr.hop_start, t0)
@@ -810,7 +805,7 @@ class _Engine:
             entry = (-t0, not sending, seq0)
             out = []
             chains.append(self._advance(pr, s, a, horizon, entry, out))
-            walks.append((pr, items, sending, entry, out))
+            walks.append((pr, item, sending, entry, out))
         # the source's and sink's charges from every path, in pop order
         for _, node, pr in merge(*chains):
             led = self.ledger.ensure(node)
@@ -818,37 +813,30 @@ class _Engine:
             led.busy += pr.profile.tau
         pushes = []
         advanced = False
-        for pr, items, sending, entry, (k, s) in walks:
+        for pr, item, sending, entry, (k, s) in walks:
             if k:
                 if pr.state == _RUNNING:
-                    pushes.append(((s, 0) + entry, pr))  # its timer
-                    pushes.append(((s, 1) + entry, pr))  # its send
+                    pushes.append(((s, 0) + entry, pr))  # its timer's key
+                    pushes.append(((s, 1) + entry, pr))  # its arrival
             elif sending:
-                kept.append(items[1])  # the timer stays live
                 pushes.append(((s, 1) + entry, pr))
             else:
-                kept.extend(items)
+                kept.append(item)
                 continue
             advanced = True
         if not advanced:
             return False
         kept.sort()
         self.heap[:] = kept
-        m = self.config.max_attempts
         pushes.sort(key=lambda p: p[0])
         for key, pr in pushes:
-            a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
-            tau = pr.profile.tau
-            arrive = pr.hop_start + tau
             if key[1] == 0:
-                self._push(arrive + m * tau, EventKind.TIMER_EXPIRE, node_from=b,
+                self._reserve_timer(pr)
+            else:
+                self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
+                           node_from=pr.nodes[pr.hop], node_to=pr.nodes[pr.hop + 1],
                            packet_id=pr.pkt, path_id=pr.path_id,
                            instance=pr.instance)
-            else:
-                for kind in (EventKind.PACKET_ARRIVE, EventKind.ACK_TIMEOUT):
-                    self._push(arrive, kind, node_from=a, node_to=b,
-                               packet_id=pr.pkt, path_id=pr.path_id,
-                               instance=pr.instance, attempt=1)
         return True
 
     # -- main loop --------------------------------------------------------
@@ -860,6 +848,11 @@ class _Engine:
                 self._inject(0.0, pr)
         last_key = (-1.0, -1)
         fast = not self.config.trace
+        handlers = {EventKind.PACKET_SEND: self._on_send,
+                    EventKind.PACKET_ARRIVE: self._on_arrive,
+                    EventKind.BEACON_SEND: self._on_beacon_send,
+                    EventKind.BEACON_RESULT: self._on_beacon_result,
+                    EventKind.TIMER_EXPIRE: self._on_timer}
         while self.heap:
             # windows start only between time steps, so that every event a
             # window consumes is later than every event popped before it
@@ -874,23 +867,10 @@ class _Engine:
             last_key = (time, seq)
             if self.config.trace:
                 self.trace.append(ev.trace_line())
-            pr = self.paths.get(ev.path_id) if ev.path_id is not None else None
             if ev.kind is EventKind.FAULT_TRIGGER:
                 self._on_fault_trigger(ev)
-            elif pr is None:
-                continue
-            elif ev.kind is EventKind.PACKET_SEND:
-                self._on_send(ev, pr)
-            elif ev.kind is EventKind.PACKET_ARRIVE:
-                self._on_arrive(ev, pr)
-            elif ev.kind is EventKind.ACK_TIMEOUT:
-                self._on_ack_timeout(ev, pr)
-            elif ev.kind is EventKind.BEACON_SEND:
-                self._on_beacon_send(ev, pr)
-            elif ev.kind is EventKind.BEACON_RESULT:
-                self._on_beacon_result(ev, pr)
-            elif ev.kind is EventKind.TIMER_EXPIRE:
-                self._on_timer(ev, pr)
+            else:
+                handlers[ev.kind](ev, self.paths[ev.path_id])
         report = TransferReport(distribution=self.dist, m=self.config.max_attempts,
                                 ledger=self.ledger)
         for pid in sorted(self.paths):
@@ -911,6 +891,8 @@ class _Engine:
                 report.path_delays[pid] = pr.delivery_time
         report.completion_time = max(
             (pr.resolved_time for pr in self.paths.values()), default=0.0)
+        if not math.isfinite(report.completion_time):
+            raise ValueError("the transfer's completion time overflows")
         report.fault_records = self.records
         report.trace_lines = self.trace
         report.fabric_nodes = tuple(sorted(self.fabric))

@@ -50,7 +50,6 @@ class Node:
     residual_energy: float
     is_redundant: bool = False
     status: str = ALIVE
-    assumed_id: int | None = None  # serial taken over from a failed node
 
     @property
     def alive(self) -> bool:
@@ -181,10 +180,9 @@ class TopologyGraph:
             self._unlink(v, u)
             self.version += 1
 
-    def activate_spare(self, node_id: int, assumed_id: int | None = None):
+    def activate_spare(self, node_id: int):
         """Turn a redundant node into a regular route participant."""
-        self.nodes[node_id] = replace(self.nodes[node_id], is_redundant=False,
-                                      assumed_id=assumed_id)
+        self.nodes[node_id] = replace(self.nodes[node_id], is_redundant=False)
         self.version += 1
 
     def set_residual(self, node_id: int, joules: float):

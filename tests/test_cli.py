@@ -140,6 +140,34 @@ class TestBadFaultTarget:
         assert not out_dir.exists()
 
 
+class TestOverflow:
+    """Values finite on their own whose products or sums pass the float
+    range end in one error line naming the quantity, not a traceback."""
+
+    @pytest.mark.parametrize("values, quantity", [
+        ({"energy.path_loss_k": "1000", "energy.e_d": "1"}, "transmit power"),
+        ({"paths.tau": "1e308"}, "completion time"),
+        ({"sim.idle_power": "1e308"}, "idle energy"),
+        ({"energy.e_d": "1e308"}, "transmit power"),
+        ({"energy.e_t": "1e308"}, "EDP budget"),
+        ({"energy.k_r": "1e308"}, "EDP budget"),
+        ({"energy.t_1b": "1e308"}, "communication energy"),
+    ])
+    @pytest.mark.filterwarnings("ignore:path-loss exponent")
+    def test_exits_one_naming_the_quantity(self, bench_path, tmp_path, capsys,
+                                          values, quantity):
+        kept = [line for line in Path(bench_path).read_text().splitlines()
+                if line.partition(" ")[0] not in values]
+        scn = tmp_path / "overflow.scenario"
+        scn.write_text("\n".join(kept + [f"{k} {v}" for k, v in values.items()]) + "\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scn), "--out", str(out_dir)]) == 1  # no traceback
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert quantity in err[0]
+        assert not out_dir.exists()
+
+
 class TestValidate:
     def test_ok(self, bench_path, capsys):
         assert main(["validate", bench_path]) == 0

@@ -210,6 +210,46 @@ def test_shared_ends_sum_paths_in_event_order(hops, taus, alloc):
             (want.tx.value, want.rx.value, want.idle.value, want.busy), end
 
 
+def test_same_time_timers_keep_their_push_order():
+    # three hops fail as their senders run dry; the receivers' timers of
+    # paths 1 and 4 fall due at one time and must pop in the order their
+    # hops were sent, so each path's fault record keeps its own time
+    cfg = ScenarioConfig(
+        mode="explicit", packets=0, schemes=[2],
+        ep=EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024),
+        link=LinkParams(b=50000.0), hops=[6, 7, 3, 8],
+        taus=[0.025, 0.04, 0.02, 0.02], t_dist=100.0, max_attempts=3,
+        initial_energy=0.05)
+    alloc = (5, 13, 4, 23)
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=sum(alloc),
+                        allocations=tuple(enumerate(alloc, start=1)))
+    runs = _both(cfg, lambda profiles: dist)
+    assert_equivalent(runs)
+    for rep, _ in runs:
+        assert [(fr.time, fr.path_id, fr.initiator, fr.note)
+                for fr in rep.fault_records] == [
+            (0.4, 1, 2, "source/sink cannot be replaced"),
+            (0.4, 4, 15, "source/sink cannot be replaced"),
+            (0.72, 2, 7, "source/sink cannot be replaced"),
+        ]
+
+
+def test_deadline_rounded_onto_the_arrival_arms_no_timer():
+    # after the 2 ms recovery briefing, t + tau + m*tau rounds to t: the
+    # timer of a healthy hop falls due with its arrival, and since it goes
+    # on the heap only for a hop that fails, the hop is delivered
+    cfg = ScenarioConfig(
+        mode="explicit", packets=0, schemes=[2],
+        ep=EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024),
+        link=LinkParams(b=50000.0), hops=[3], taus=[1e-20], t_dist=100.0,
+        redundant=2, max_attempts=2)
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=4, allocations=((1, 4),))
+    runs = _both(cfg, lambda profiles: dist,
+                 [FaultEvent(time=0.0, kind="link_fail", target=(2, 3))])
+    assert_equivalent(runs)
+    assert runs[0][0].delivered == {1: 4}
+
+
 @st.composite
 def explicit_runs(draw):
     n_paths = draw(st.integers(1, 4))

@@ -195,7 +195,7 @@ def transfer_state(rep):
 
 def graph_state(g):
     return (g.version,
-            {i: (n.residual_energy, n.status, n.is_redundant, n.assumed_id)
+            {i: (n.residual_energy, n.status, n.is_redundant)
              for i, n in g.nodes.items()},
             {i: list(g.neighbors(i)) for i in g.nodes})
 

@@ -258,7 +258,6 @@ class TestReplacement:
         spare = replace_failed_node(g, 1)
         assert spare == 8
         assert not g.nodes[8].is_redundant
-        assert g.nodes[8].assumed_id == 1
 
     def test_near_reference_changes_choice(self):
         g = self.replacement_setup()

@@ -167,7 +167,23 @@ class TestCaseTwoRecovery:
         kinds = [l.split()[1] for l in rep.trace_lines]
         assert "BeaconSend" in kinds
         assert "BeaconResult" in kinds
-        assert "AckTimeout" in kinds
+        assert "TimerExpire" in kinds
+
+
+class TestTracePromise:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_fault_free_trace_is_two_lines_per_hop(self, bench_scenario_text, scheme):
+        # a hop that does not fail arms no timer and waits on no ack, so the
+        # trace holds only its send and its arrival
+        cfg, g, table, profiles, t = bench_net(bench_scenario_text)
+        dist = allocate(scheme, cfg.ep, profiles, cfg.packets)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
+                           config=SimConfig(trace=True), destination=t)
+        hops = {p.path_id: p.H for p in profiles}
+        assert len(rep.trace_lines) == 2 * sum(n * hops[pid]
+                                               for pid, n in dist.allocations)
+        assert {l.split()[1] for l in rep.trace_lines} == {"PacketSend",
+                                                          "PacketArrive"}
 
 
 class TestTableReadOnly:

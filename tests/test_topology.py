@@ -98,7 +98,7 @@ EDITS = st.one_of(
 def graph_state(g: TopologyGraph):
     """Everything a graph method can write, copied out of the graph."""
     return (g.version,
-            {i: (n.residual_energy, n.status, n.is_redundant, n.assumed_id)
+            {i: (n.residual_energy, n.status, n.is_redundant)
              for i, n in g.nodes.items()},
             {i: list(g.neighbors(i)) for i in g.nodes})
 
@@ -126,7 +126,7 @@ class TestInPlaceEdits:
         others = [(h, graph_state(h)) for h in graphs if h is not g]
         dead: set[int] = set()
         cut: set[frozenset[int]] = set()
-        nodes_want = {i: (1.0, ALIVE, True, None) for i in ids}
+        nodes_want = {i: (1.0, ALIVE, True) for i in ids}
 
         def rebuilt():
             # a fresh graph of the surviving nodes, less the cut pairs
@@ -141,7 +141,7 @@ class TestInPlaceEdits:
             if any(a not in g for a in args[:2 if op == "disable_link" else 1]):
                 continue
             before = g.version
-            energy, status, spare, assumed = nodes_want[args[0]]
+            energy, status, spare = nodes_want[args[0]]
             if op == "fail_node":
                 changed = args[0] not in dead
                 dead.add(args[0])
@@ -155,15 +155,14 @@ class TestInPlaceEdits:
             else:
                 changed = True
                 spare = False
-            nodes_want[args[0]] = (energy, status, spare, assumed)
+            nodes_want[args[0]] = (energy, status, spare)
             getattr(g, op)(*args)
             assert g.version == before + changed
             want = rebuilt()
             for u in ids:
                 assert g.neighbors(u) == want[u]
                 n = g.nodes[u]
-                assert (n.residual_energy, n.status, n.is_redundant,
-                        n.assumed_id) == nodes_want[u]
+                assert (n.residual_energy, n.status, n.is_redundant) == nodes_want[u]
                 for v in ids:
                     assert g.has_edge(u, v) == (v in g.neighbors(u))
             for h, state in others:
@@ -263,10 +262,10 @@ class TestAdjacencyBuild:
         assert h.nodes == g.nodes
         assert [h.neighbors(i) for i in range(3)] == [g.neighbors(i) for i in range(3)]
         h.fail_node(1)
-        h.activate_spare(2, assumed_id=1)
+        h.activate_spare(2)
         h.set_residual(0, 1.0)
         assert g.version == h.version - 2
-        assert g.nodes[1].alive and g.nodes[2].assumed_id is None
+        assert g.nodes[1].alive
         assert g.nodes[0].residual_energy == 4.0
         assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
 
