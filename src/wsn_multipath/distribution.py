@@ -99,6 +99,8 @@ def solve_max_packets(coeffs: QuadraticCoefficients) -> float:
     Mathematically delta = (-B + sqrt(B^2 + 4*A*C)) / (2*A); computed as
     2*C / (B + sqrt(B^2 + 4*A*C)), which is the same root without the
     subtractive cancellation that wrecks the residual when B^2 >> 4*A*C.
+    When B^2 + 4*A*C passes the float range the root is taken as
+    C / h / (1 + B / (2*h)) with h = sqrt(B^2 / 4 + A*C), which does not.
     """
     A, B, C = coeffs.A, coeffs.B, coeffs.C
     if A <= 0:
@@ -108,7 +110,11 @@ def solve_max_packets(coeffs: QuadraticCoefficients) -> float:
         )
     if C <= 0.0:
         return 0.0
-    denominator = B + math.sqrt(B * B + 4.0 * A * C)
+    discriminant = B * B + 4.0 * A * C
+    if math.isinf(discriminant):
+        half = math.hypot(0.5 * B, math.sqrt(A) * math.sqrt(C))
+        return C / half / (1.0 + 0.5 * B / half)
+    denominator = B + math.sqrt(discriminant)
     if denominator == 0.0:
         # B == 0 and 4*A*C underflowed: the root is sqrt(C / A)
         return math.sqrt(C / A)

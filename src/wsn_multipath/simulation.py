@@ -39,8 +39,13 @@ end each in-flight ``PacketArrive`` goes back on the heap and its timer's key
 is taken, in the order stepping would make them, since same-time events of
 different paths pop in push order; stale events, which the handlers would
 ignore, are dropped. The result is bit-identical to stepping.
-``SimConfig.trace`` steps every event, and the trace lists each one the engine
-acts on, in pop order.
+
+``SimConfig.trace`` decides only whether lines are written, not how the engine
+runs: a stepped pop writes its event's line, and a window writes the lines of
+the sends and arrivals it consumes, merged across paths in the order stepping
+would pop them. Windows start only after every earlier event has popped, so
+the trace lists each event the engine acts on, in pop order; an event no
+handler would act on is skipped in both modes and has no line.
 """
 
 from __future__ import annotations
@@ -80,6 +85,12 @@ class EventKind(Enum):
     FAULT_TRIGGER = "FaultTrigger"
 
 
+# a trace line: the time in _TRACE_TIME's format, the event kind, then the
+# from, to, packet and path ids, "-" for an id the event lacks
+_TRACE_LINE = "{} {} {} {} {} {}"
+_TRACE_TIME = ".10g"
+
+
 @dataclass(frozen=True)
 class SimEvent:
     time: float
@@ -93,10 +104,9 @@ class SimEvent:
     payload: object = None
 
     def trace_line(self) -> str:
-        def f(v):
-            return "-" if v is None else str(v)
-        return (f"{self.time:.10g} {self.kind.value} {f(self.node_from)} "
-                f"{f(self.node_to)} {f(self.packet_id)} {f(self.path_id)}")
+        return _TRACE_LINE.format(format(self.time, _TRACE_TIME), self.kind.value, *(
+            "-" if v is None else v
+            for v in (self.node_from, self.node_to, self.packet_id, self.path_id)))
 
 
 def _finite_sum(values: list[float], what: str) -> float:
@@ -292,6 +302,8 @@ _WINDOW_STOPS = (EventKind.FAULT_TRIGGER, EventKind.BEACON_SEND,
 # the one pending event of a path that a window may advance: a hop about to
 # be sent, or a hop in flight
 _CLEAN_HOPS = (EventKind.PACKET_SEND, EventKind.PACKET_ARRIVE)
+# the events a path's own state can make stale
+_PATH_EVENTS = _CLEAN_HOPS + (EventKind.TIMER_EXPIRE,)
 
 
 class _PathRun:
@@ -641,6 +653,18 @@ class _Engine:
         else:
             self.g.disable_link(*fe.target)
 
+    def _stale(self, ev: SimEvent) -> bool:
+        """An event no handler acts on: a hop event or timer of a path that
+        stopped running or moved on to a later hop, unless it is a timer that
+        lost its race to a recovery."""
+        if ev.kind not in _PATH_EVENTS:
+            return False
+        pr = self.paths[ev.path_id]
+        if pr.state == _RUNNING and ev.instance == pr.instance:
+            return False
+        return not (ev.kind is EventKind.TIMER_EXPIRE
+                    and ev.instance == pr.last_recovery_instance)
+
     # -- fast-forward windows ---------------------------------------------
 
     def _route_intact(self, pr: _PathRun) -> bool:
@@ -715,8 +739,75 @@ class _Engine:
                 break
             n = hops
         out[:] = k, s
-        if not k:
-            return
+        if k:
+            self._apply_hops(pr, k, delivered, s, last)
+
+    def _advance_traced(self, pr: _PathRun, s: float, a: float, horizon: float,
+                        entry: tuple, out: list, sending: bool, seq0: int):
+        """``_advance`` for a traced run: yields every send and arrival it
+        consumes as ``(key, line, ends, pr)``, where ``ends`` are the shared
+        end nodes the event charges; the keys sort the events of all paths in
+        the order stepping would pop them.
+
+        The first event is the pending one, sent at ``s`` if ``sending``,
+        else arriving at ``a``, with seq ``seq0``. It keys ``(time, -inf,
+        seq0)``: before any event the window makes at its time, and among
+        other pending events in heap order. An arrival made in the window keys
+        ``(time, send time) + entry``, as ``_advance`` keys its charges. A send
+        made in the window keys ``(time, time, send time of the arrival that
+        starts it) + entry``: after every arrival at its time, whose send
+        time is earlier, and in the order of the arrivals that start them.
+        """
+        tau = pr.profile.tau
+        hops = pr.hops
+        # per hop, its send and arrival lines with the time and packet left open
+        links = list(zip(pr.nodes, pr.nodes[1:]))
+        sends = [_TRACE_LINE.format("{0}", EventKind.PACKET_SEND.value, u, v, "{1}",
+                                    pr.path_id).format for u, v in links]
+        arrives = [_TRACE_LINE.format("{0}", EventKind.PACKET_ARRIVE.value, u, v, "{1}",
+                                      pr.path_id).format for u, v in links]
+        # per hop, the shared ends its arrival charges: the source, the sink
+        ends = [()] * hops
+        ends[0] += (pr.nodes[0],)
+        ends[-1] += (pr.nodes[-1],)
+        hop, pkt = pr.hop, pr.pkt
+        left = pr.total - pr.sent
+        k = delivered = 0
+        last = 0.0
+        key = (s if sending else a, -math.inf, seq0)
+        if sending:
+            yield key, sends[hop](format(s, _TRACE_TIME), pkt), (), pr
+            key = (a, s) + entry
+        while a < horizon:
+            at = format(a, _TRACE_TIME)
+            yield key, arrives[hop](at, pkt), ends[hop], pr
+            k += 1
+            prev, s = s, a
+            hop += 1
+            if hop == hops:
+                delivered += 1
+                last = a
+                if delivered > left:
+                    break
+                hop = 0
+                pkt += 1
+            yield (a, a, prev) + entry, sends[hop](at, pkt), (), pr
+            a += tau
+            key = (a, s) + entry
+        out[:] = k, s
+        if k:
+            self._apply_hops(pr, k, delivered, s, last)
+
+    def _apply_hops(self, pr: _PathRun, k: int, delivered: int, s: float,
+                    last: float):
+        """Apply the charges and state changes of ``k`` walked arrivals, of
+        which ``delivered`` delivered a packet, the last at ``last``; ``s`` is
+        the send time of the hop now in flight. The shared ends' transmissions
+        and busy time are left to the walk's consumer.
+        """
+        tau = pr.profile.tau
+        hops = pr.hops
+        left = pr.total - pr.sent
         done = delivered > left
         injects = delivered - done
         # arrivals per hop index; the sink's handoff and the source's
@@ -751,7 +842,7 @@ class _Engine:
             pr.hop = hops - 1
             pr.instance += k - 1
         else:
-            pr.hop = hops - n
+            pr.hop = (pr.hop + k) % hops
             pr.pkt = pr.base_pkt + pr.sent - 1
             pr.instance += k
             pr.hop_start = s
@@ -771,19 +862,20 @@ class _Engine:
         pending: dict[int, list] = {pr.path_id: [] for pr in running}
         for item in self.heap:
             ev = item[2]
+            if self._stale(ev):
+                continue
             pr = self.paths.get(ev.path_id)
-            if ev.kind in _WINDOW_STOPS or (ev.kind is EventKind.TIMER_EXPIRE
-                                            and ev.instance == pr.last_recovery_instance):
+            if (ev.kind not in _WINDOW_STOPS and pr.state == _RUNNING
+                    and ev.instance == pr.instance):
+                pending[pr.path_id].append(item)
+            else:
                 kept.append(item)
                 horizon = min(horizon, item[0])
-            elif pr.state == _RUNNING and ev.instance == pr.instance:
-                pending[pr.path_id].append(item)
-            # anything else is stale: its handler would ignore it
         if horizon <= now:
             return False
         walks, chains = [], []
         for pr in running:
-            # _advance is a generator: nothing changes until merge runs it
+            # the walks are generators: nothing changes until merge runs them
             items = pending[pr.path_id]
             if len(items) != 1 or items[0][2].kind not in _CLEAN_HOPS:
                 return False
@@ -804,13 +896,25 @@ class _Engine:
             # a pending arrival will start
             entry = (-t0, not sending, seq0)
             out = []
-            chains.append(self._advance(pr, s, a, horizon, entry, out))
+            chains.append(
+                self._advance_traced(pr, s, a, horizon, entry, out, sending, seq0)
+                if self.config.trace else self._advance(pr, s, a, horizon, entry, out))
             walks.append((pr, item, sending, entry, out))
-        # the source's and sink's charges from every path, in pop order
-        for _, node, pr in merge(*chains):
-            led = self.ledger.ensure(node)
-            led.tx.add(pr.j_tx)
-            led.busy += pr.profile.tau
+        # the source's and sink's charges from every path, and in a traced
+        # run every event's line, in pop order
+        if self.config.trace:
+            append = self.trace.append
+            for _, line, ends, pr in merge(*chains):
+                append(line)
+                for node in ends:
+                    led = self.ledger.ensure(node)
+                    led.tx.add(pr.j_tx)
+                    led.busy += pr.profile.tau
+        else:
+            for _, node, pr in merge(*chains):
+                led = self.ledger.ensure(node)
+                led.tx.add(pr.j_tx)
+                led.busy += pr.profile.tau
         pushes = []
         advanced = False
         for pr, item, sending, entry, (k, s) in walks:
@@ -847,7 +951,6 @@ class _Engine:
             if pr.total > 0:
                 self._inject(0.0, pr)
         last_key = (-1.0, -1)
-        fast = not self.config.trace
         handlers = {EventKind.PACKET_SEND: self._on_send,
                     EventKind.PACKET_ARRIVE: self._on_arrive,
                     EventKind.BEACON_SEND: self._on_beacon_send,
@@ -856,7 +959,7 @@ class _Engine:
         while self.heap:
             # windows start only between time steps, so that every event a
             # window consumes is later than every event popped before it
-            if (fast and self.heap[0][0] > last_key[0]
+            if (self.heap[0][0] > last_key[0]
                     and self._fast_forward(self.heap[0][0])):
                 continue
             time, seq, ev = heapq.heappop(self.heap)
@@ -865,6 +968,8 @@ class _Engine:
                     f"event order went backwards on path {ev.path_id}: "
                     f"(t={time!r}, seq={seq}) popped after {last_key!r}")
             last_key = (time, seq)
+            if self._stale(ev):
+                continue
             if self.config.trace:
                 self.trace.append(ev.trace_line())
             if ev.kind is EventKind.FAULT_TRIGGER:

@@ -129,7 +129,9 @@ class TopologyGraph:
         # sort groups the pairs by node and orders each group by neighbour
         keys = np.sort(np.concatenate((pairs[:, 0] * n + pairs[:, 1],
                                        pairs[:, 1] * n + pairs[:, 0])))
-        flat = np.asarray(ids, dtype=np.int64)[keys % n].tolist()
+        # indexing an object array hands out the nodes' own id objects, so
+        # the lists share one int per node instead of one per entry
+        flat = np.array(ids, dtype=object)[keys % n].tolist()
         ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
         self._adjacency: dict[int, list[int]] = {
             u: flat[start:end] for u, start, end in zip(ids, [0] + ends, ends)}

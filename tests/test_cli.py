@@ -168,6 +168,23 @@ class TestOverflow:
         assert not out_dir.exists()
 
 
+    def test_capacity_survives_an_overflowing_discriminant(self, bench_path, tmp_path,
+                                                           capsys):
+        # e_t = 1e155 makes B*B + 4*A*C of every path's EDP quadratic pass the
+        # float range while its budget C stays finite; each path still has a
+        # capacity of about sqrt(C/A), so the adaptive split is made
+        kept = [line for line in Path(bench_path).read_text().splitlines()
+                if line.partition(" ")[0] != "energy.e_t"]
+        scn = tmp_path / "huge_e_t.scenario"
+        scn.write_text("\n".join(kept + ["energy.e_t 1e155"]) + "\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scn), "--schemes", "3", "--out", str(out_dir)]) == 0
+        assert "zero capacity" not in capsys.readouterr().err
+        rows = (out_dir / "distribution.csv").read_text().splitlines()[1:]
+        shares = [int(row.split(",")[2]) for row in rows]
+        assert sum(shares) == 100 and all(shares)
+
+
 class TestValidate:
     def test_ok(self, bench_path, capsys):
         assert main(["validate", bench_path]) == 0

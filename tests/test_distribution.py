@@ -75,6 +75,20 @@ class TestCoefficients:
     def test_root_nonnegative(self, a, b, c):
         assert solve_max_packets(QuadraticCoefficients(A=a, B=b, C=c)) >= 0.0
 
+    @given(st.one_of(
+        # 4*A*C overflows
+        st.tuples(st.floats(1e150, 1e308), st.floats(0, 1e308), st.floats(1e161, 1e308)),
+        # B*B overflows
+        st.tuples(st.floats(1e-300, 1e308), st.floats(1.4e154, 1e308),
+                  st.floats(1e10, 1e308)),
+    ))
+    @example(abc=(1e308, 1e308, 1e308))  # so does 2*C
+    def test_root_kept_when_discriminant_overflows(self, abc):
+        a, b, c = abc
+        r = solve_max_packets(QuadraticCoefficients(A=a, B=b, C=c))
+        assert 0.0 < r < math.inf
+        assert a * r * r + b * r == pytest.approx(c, rel=1e-12)
+
     @given(st.floats(1e-6, 1e3), st.floats(0, 1e3),
            st.floats(1e-6, 1e6), st.floats(1.0001, 10))
     def test_root_monotone_in_budget(self, a, b, c, factor):

@@ -1,13 +1,17 @@
 """The windowed engine against the per-hop engine it shortcuts.
 
-With ``SimConfig(trace=True)`` the engine steps every event; without it, it
-advances the paths in windows between disruptions. The stepped run is the
-oracle: counts, delays, fault records and per-path energy must be equal, and
-per-node ledgers must agree within 1e-12 relative (in practice they match
-bit for bit).
+The engine advances the paths in windows between disruptions; with its
+windows switched off it steps every event. A traced stepped run is the oracle
+for a traced and an untraced windowed run: counts, delays, fault records and
+per-path energy must be equal, per-node ledgers must agree within 1e-12
+relative (in practice they match bit for bit), and the traced windowed run
+must list the oracle's trace lines, in pop order.
 """
 
+import itertools
 import math
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,25 +31,30 @@ from wsn_multipath import (
     parse_scenario,
     run_transfer,
 )
+from wsn_multipath.simulation import _Engine
 
 REL = 1e-12
 
 
-def _both(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
-    """Run one transfer per engine on fresh copies of ``cfg``'s network."""
+def _runs(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
+    """Run one transfer traced and stepped, one traced and windowed and one
+    untraced and windowed, each on a fresh copy of ``cfg``'s network."""
     out = []
-    for trace in (True, False):
+    for stepped, trace in ((True, True), (False, True), (False, False)):
         g, table, _, sink = build_network(cfg)
         if tweak:
             tweak(g, table)
         dist = dist_for([r.profile for r in table.routes_for(sink)])
+        no_windows = mock.patch.object(_Engine, "_fast_forward",
+                                       lambda self, now: False)
         try:
-            rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                               faults=FaultScript(list(faults)),
-                               config=SimConfig(max_attempts=cfg.max_attempts,
-                                                control_bits=cfg.control_bits,
-                                                idle_power=idle_power, trace=trace),
-                               destination=sink)
+            with no_windows if stepped else nullcontext():
+                rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
+                                   faults=FaultScript(list(faults)),
+                                   config=SimConfig(max_attempts=cfg.max_attempts,
+                                                    control_bits=cfg.control_bits,
+                                                    idle_power=idle_power, trace=trace),
+                                   destination=sink)
         except RuntimeError as exc:  # the oracle's own failures must recur
             rep = str(exc)
         out.append((rep, g))
@@ -53,11 +62,16 @@ def _both(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
 
 
 def assert_equivalent(runs):
-    (slow, g_slow), (fast, g_fast) = runs
-    if isinstance(slow, str) or isinstance(fast, str):
-        assert fast == slow
-        return
-    assert not fast.trace_lines
+    (slow, g_slow), traced, untraced = runs
+    for (fast, g_fast), lines in ((traced, slow.trace_lines), (untraced, [])):
+        if isinstance(slow, str) or isinstance(fast, str):
+            assert fast == slow
+        else:
+            assert fast.trace_lines == lines
+            assert_same_run(slow, g_slow, fast, g_fast)
+
+
+def assert_same_run(slow, g_slow, fast, g_fast):
     for name in ("delivered", "dropped", "retransmissions", "failed_paths",
                  "path_delays", "completion_time", "fault_records",
                  "fabric_nodes"):
@@ -93,7 +107,7 @@ class TestBundled:
     def test_every_scheme_at_d100(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text)
         for scheme in Scheme:
-            assert_equivalent(_both(cfg, _scheme(scheme, cfg)))
+            assert_equivalent(_runs(cfg, _scheme(scheme, cfg)))
 
     def test_node_and_link_faults(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text + "paths.redundant 3\n")
@@ -104,7 +118,7 @@ class TestBundled:
             FaultEvent(time=0.0, kind="link_fail", target=(0, 1)),    # no route
         ]
         for scheme in (Scheme.EQUAL_SPLIT, Scheme.ADAPTIVE):
-            runs = _both(cfg, _scheme(scheme, cfg), faults)
+            runs = _runs(cfg, _scheme(scheme, cfg), faults)
             assert runs[0][0].fault_records
             assert_equivalent(runs)
 
@@ -114,7 +128,7 @@ class TestBundled:
         cfg = parse_scenario(bench_scenario_text)
         faults = [FaultEvent(time=0.05, kind="node_fail", target=1)]
         for scheme in Scheme:
-            runs = _both(cfg, _scheme(scheme, cfg), faults)
+            runs = _runs(cfg, _scheme(scheme, cfg), faults)
             assert runs[0][0].total_delivered == 0
             assert 1 not in runs[0][0].ledger.nodes
             assert_equivalent(runs)
@@ -131,7 +145,7 @@ class TestBundled:
                 FaultEvent(time=_hop_time(0.02, k + 5), kind="link_fail",
                            target=(2, 3)),
             ]
-            runs = _both(cfg, _scheme(Scheme.EQUAL_SPLIT, cfg), faults)
+            runs = _runs(cfg, _scheme(Scheme.EQUAL_SPLIT, cfg), faults)
             assert runs[0][0].fault_records
             assert_equivalent(runs)
 
@@ -144,14 +158,14 @@ class TestDepletion:
             g.set_residual(33, 0.02)   # about four packets' worth
             table.version = g.version
 
-        runs = _both(cfg, _scheme(Scheme.ADAPTIVE, cfg), tweak=drain)
+        runs = _runs(cfg, _scheme(Scheme.ADAPTIVE, cfg), tweak=drain)
         assert not runs[0][1].nodes[33].alive
         assert_equivalent(runs)
 
     def test_tiny_initial_energy(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text + "sim.initial_energy 1e-6\n")
         for scheme in Scheme:
-            runs = _both(cfg, _scheme(scheme, cfg))
+            runs = _runs(cfg, _scheme(scheme, cfg))
             assert runs[0][0].total_dropped == 100
             assert_equivalent(runs)
 
@@ -180,7 +194,7 @@ def test_field_with_three_node_failures():
     faults = [FaultEvent(time=t, kind="node_fail",
                          target=r.nodes[1:-1][len(r.nodes[1:-1]) // 2])
               for t, r in zip((0.05, 0.10, 0.15), routes)]
-    runs = _both(cfg, _scheme(Scheme.EQUAL_SPLIT, cfg), faults)
+    runs = _runs(cfg, _scheme(Scheme.EQUAL_SPLIT, cfg), faults)
     assert runs[0][0].fault_records
     assert_equivalent(runs)
 
@@ -201,10 +215,11 @@ def test_shared_ends_sum_paths_in_event_order(hops, taus, alloc):
         max_attempts=1)
     dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=sum(alloc),
                         allocations=tuple(enumerate(alloc, start=1)))
-    runs = _both(cfg, lambda profiles: dist)
+    runs = _runs(cfg, lambda profiles: dist)
     assert_equivalent(runs)
-    (slow, _), (fast, _) = runs
-    for end in (0, 1):  # source and sink, bit for bit
+    (slow, _), *windowed = runs
+    for (fast, _), end in itertools.product(windowed, (0, 1)):
+        # source and sink, bit for bit
         want, got = slow.ledger.nodes[end], fast.ledger.nodes[end]
         assert (got.tx.value, got.rx.value, got.idle.value, got.busy) == \
             (want.tx.value, want.rx.value, want.idle.value, want.busy), end
@@ -223,7 +238,7 @@ def test_same_time_timers_keep_their_push_order():
     alloc = (5, 13, 4, 23)
     dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=sum(alloc),
                         allocations=tuple(enumerate(alloc, start=1)))
-    runs = _both(cfg, lambda profiles: dist)
+    runs = _runs(cfg, lambda profiles: dist)
     assert_equivalent(runs)
     for rep, _ in runs:
         assert [(fr.time, fr.path_id, fr.initiator, fr.note)
@@ -244,7 +259,7 @@ def test_deadline_rounded_onto_the_arrival_arms_no_timer():
         link=LinkParams(b=50000.0), hops=[3], taus=[1e-20], t_dist=100.0,
         redundant=2, max_attempts=2)
     dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=4, allocations=((1, 4),))
-    runs = _both(cfg, lambda profiles: dist,
+    runs = _runs(cfg, lambda profiles: dist,
                  [FaultEvent(time=0.0, kind="link_fail", target=(2, 3))])
     assert_equivalent(runs)
     assert runs[0][0].delivered == {1: 4}
@@ -293,4 +308,4 @@ def explicit_runs(draw):
 @given(explicit_runs())
 def test_random_explicit_runs_match(case):
     cfg, dist, faults = case
-    assert_equivalent(_both(cfg, lambda profiles: dist, faults))
+    assert_equivalent(_runs(cfg, lambda profiles: dist, faults))

@@ -22,7 +22,7 @@ from wsn_multipath import (
     path_energy,
     run_transfer,
 )
-from wsn_multipath.simulation import TransferActiveError
+from wsn_multipath.simulation import EventKind, TransferActiveError, _Engine
 
 SINGLE_PATH_TEXT = """
 paths.hops 5
@@ -184,6 +184,24 @@ class TestTracePromise:
                                                for pid, n in dist.allocations)
         assert {l.split()[1] for l in rep.trace_lines} == {"PacketSend",
                                                           "PacketArrive"}
+
+    @pytest.mark.parametrize("windows", [True, False])
+    def test_events_no_handler_acts_on_have_no_line(self, windows, monkeypatch):
+        # a send of a hop instance the path never started is ignored, so
+        # neither a window nor a stepped pop may list it
+        if not windows:
+            monkeypatch.setattr(_Engine, "_fast_forward", lambda self, now: False)
+        traces = []
+        for stale in (False, True):
+            cfg, g, table, dist, t = single_path_net(packets=3, spares=0)
+            engine = _Engine(g, table, dist, cfg.ep, cfg.link, None,
+                             SimConfig(trace=True), t)
+            if stale:
+                engine._push(0.01, EventKind.PACKET_SEND, node_from=0, node_to=2,
+                             packet_id=0, path_id=1, instance=0)
+            traces.append(engine.run().trace_lines)
+        assert traces[1] == traces[0]
+        assert len(traces[0]) == 2 * 3 * 5
 
 
 class TestTableReadOnly:

@@ -253,6 +253,12 @@ class TestAdjacencyBuild:
         want = pairwise_adjacency(list(g.nodes.values()), 24.0)
         assert all(g.neighbors(i) == want[i] for i in g.nodes)
 
+    def test_neighbour_lists_share_the_node_ids(self):
+        # one int object per node, not one per adjacency entry: on a 50k
+        # field that is 1.5M objects and ~45 MB of peak memory
+        g = deploy_field((300.0, 300.0), 1_500, seed=3, radio_range=24.0)
+        assert all(v is g.nodes[v].id for u in g.nodes for v in g.neighbors(u))
+
     def test_copy_is_independent(self):
         g = grid_graph()
         g.disable_link(1, 2)
