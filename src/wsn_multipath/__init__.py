@@ -35,8 +35,6 @@ from .topology import (
     TopologyGraph,
     UnrecoverableFailureError,
     deploy_field,
-    dump_topology,
-    parse_topology,
 )
 from .routing import (
     Route,
@@ -69,7 +67,6 @@ __all__ = [
     "NoCapacityError", "coefficients_for_path", "solve_max_packets",
     "largest_remainder", "normalize_distribution", "allocate", "verify_edp_bound",
     "Node", "TopologyGraph", "UnrecoverableFailureError", "deploy_field",
-    "dump_topology", "parse_topology",
     "Route", "RoutingTable", "StaleRouteError", "discover_disjoint_paths",
     "estimate_path_params", "build_routing_table", "replace_failed_node",
     "FaultCase", "FaultEvent", "FaultScript", "SimConfig", "run_transfer",

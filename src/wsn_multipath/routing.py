@@ -5,11 +5,19 @@ result, delete its interior nodes from the working graph, and search again
 until the sink becomes unreachable. The direct source-sink edge (if the two
 are in radio range) may serve as at most one single-hop route. All tie-breaks
 are by lowest node id, so discovery is fully deterministic.
+
+The search is a level-synchronous frontier BFS over the graph's CSR rows
+(Beamer et al., "Direction-optimizing breadth-first search", SC 2012): numpy
+gathers every link out of a hop level at once through
+``TopologyGraph.links_from``, so no Python code runs per node and the search
+makes no neighbour list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .model import EnergyParams, LinkParams, PathProfile, per_hop_delay
 from .topology import TopologyGraph, UnrecoverableFailureError
@@ -92,32 +100,40 @@ def _shortest_hops(g: TopologyGraph, source: int, sink: int,
                    removed: set[int], skip_direct: bool) -> list[int] | None:
     """Min-hop path avoiding ``removed`` interiors; lowest-id tie-breaks.
 
-    Breadth-first, one hop level at a time, each level expanded in ascending
-    id order until the sink's turn comes: the order and extent a heap over
-    (hops, id) would pop. A node keeps its first (lowest-id) parent, so the
-    returned path is the lexicographically smallest among min-hop paths.
+    Breadth-first over the graph's rows, one hop level at a time: each level
+    gathers every link out of the frontier at once, drops the rows already
+    seen, and gives each new row its lowest frontier parent. Rows are ranks
+    of ids, so that is the lowest-id parent, and the returned path is the
+    lexicographically smallest among min-hop paths.
     """
-    parent: dict[int, int] = {}
-    seen = removed - {sink}   # nodes no expansion may enter
-    seen.add(source)
-    frontier = [source]
-    while frontier:
-        level: list[int] = []
-        for u in frontier:
-            if u == sink:
-                path = [sink]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            fresh = [v for v in g.neighbors(u) if v not in seen]
-            if u == source and skip_direct and sink in fresh:
-                fresh.remove(sink)
-            seen.update(fresh)
-            parent.update(dict.fromkeys(fresh, u))
-            level += fresh
-        level.sort()
-        frontier = level
+    if source == sink:
+        return [source]
+    ends = g.rows((source, sink))
+    if len(ends) < 2:
+        return None
+    s, t = ends
+    n = g.row_count
+    seen = np.zeros(n, dtype=bool)      # rows no expansion may enter
+    seen[g.rows(removed - {sink})] = True
+    seen[s] = True
+    parent = np.full(n, n)
+    frontier = np.array([s])
+    while len(frontier):
+        src, dst = g.links_from(frontier)
+        fresh = ~seen[dst]
+        if skip_direct and frontier[0] == s:    # the source's link to the sink
+            fresh &= dst != t
+        src, dst = src[fresh], dst[fresh]
+        np.minimum.at(parent, dst, src)
+        seen[dst] = True
+        if seen[t]:
+            path = [t]
+            while path[-1] != s:
+                path.append(parent[path[-1]])
+            return g.row_ids(path[::-1])
+        level = np.zeros(n, dtype=bool)
+        level[dst] = True
+        frontier = np.flatnonzero(level)
     return None
 
 

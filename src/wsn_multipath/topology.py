@@ -1,22 +1,31 @@
 """Sensor field deployment and radio-range connectivity.
 
-Nodes live on a plane. The graph keeps one adjacency: for each alive node,
-its alive neighbours within the radio range in ascending id order, built from
-the positions once, when the graph is made: a uniform cell grid gives the
-pairs within range as an array (``_pairs_within``), and numpy sorts and
-splits them into lists. Failures and link cuts then update it; nothing is
-rebuilt. ``neighbors`` and ``has_edge`` both read it, so route discovery,
-beacons and the transfer engine share one rule for "u and v are linked".
-The graph is a single-writer structure: mutations bump ``version`` so
-routing tables built against an older topology can be detected as stale.
+Nodes live on a plane. Two alive nodes are linked when they lie within the
+radio range. The graph finds those pairs once, when it is made: a uniform
+cell grid gives them as an array (``_pairs_within``), and one numpy sort
+turns them into a base adjacency in CSR form. A row is the rank of an alive
+id, row ``r``'s neighbours are rows ``indices[indptr[r]:indptr[r + 1]]`` in
+ascending order, and an object array maps rows back to the nodes' own id
+objects. The base arrays are never written, so every ``copy`` shares them.
 
-Writes replace, they never edit in place: ``fail_node``, ``activate_spare``
-and ``set_residual`` store a new ``Node`` in this graph's ``nodes`` dict, and
-``fail_node`` and ``disable_link`` store new neighbour lists in its
-adjacency. So ``copy`` is two shallow dict copies that share every ``Node``
-and list with the parent, and a write to either graph never shows through
-the other. Writing ``g.nodes[i].<attr>`` directly is not supported: it would
-show through every graph sharing that node.
+On top of the base, each graph keeps a small dict of Python neighbour lists.
+``neighbors(u)`` makes u's list from its row on first use; ``fail_node`` and
+``disable_link`` write replacement lists. A node's list, when it has one, is
+its adjacency; otherwise its row is. ``neighbors``, ``has_edge`` and
+``links_from`` (the route search's gather over many rows at once) all follow
+that one rule, so beacons, the transfer engine and route discovery never
+disagree about whether u and v are linked. On a 50,000-node field only the
+few hundred nodes the engine asks about ever get a list.
+
+The graph is a single-writer structure: mutations bump ``version`` so routing
+tables built against an older topology can be detected as stale. Writes
+replace, they never edit in place: ``fail_node``, ``activate_spare`` and
+``set_residual`` store a new ``Node`` in this graph's ``nodes`` dict, and
+``fail_node`` and ``disable_link`` store new lists in its own list dict. So
+``copy`` is two shallow dict copies that share every ``Node``, list and base
+array with the parent, and a write to either graph never shows through the
+other. Writing ``g.nodes[i].<attr>`` directly is not supported: it would show
+through every graph sharing that node.
 """
 
 from __future__ import annotations
@@ -31,8 +40,6 @@ __all__ = [
     "TopologyGraph",
     "UnrecoverableFailureError",
     "deploy_field",
-    "dump_topology",
-    "parse_topology",
 ]
 
 ALIVE = "alive"
@@ -126,28 +133,34 @@ class TopologyGraph:
             raise ValueError(f"node {bad.id} has a non-finite position {bad.position}")
         pairs = _pairs_within(pts, radio_range)
         # each pair in both directions as one key, row * n + column, so one
-        # sort groups the pairs by node and orders each group by neighbour
-        keys = np.sort(np.concatenate((pairs[:, 0] * n + pairs[:, 1],
-                                       pairs[:, 1] * n + pairs[:, 0])))
-        # indexing an object array hands out the nodes' own id objects, so
+        # sort groups the pairs by row and orders each row by neighbour
+        keys = np.concatenate((pairs[:, 0] * n + pairs[:, 1],
+                               pairs[:, 1] * n + pairs[:, 0]))
+        keys.sort()
+        degree = np.bincount(pairs.ravel(), minlength=n)
+        self._indptr = np.concatenate(([0], np.cumsum(degree)))
+        self._indices = (keys % n).astype(np.min_scalar_type(n))
+        # indexing the object array hands out the nodes' own id objects, so
         # the lists share one int per node instead of one per entry
-        flat = np.array(ids, dtype=object)[keys % n].tolist()
-        ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
-        self._adjacency: dict[int, list[int]] = {
-            u: flat[start:end] for u, start, end in zip(ids, [0] + ends, ends)}
+        self._ids = np.array(ids, dtype=object)
+        self._row = dict(zip(ids, range(n)))
+        for shared in (self._indptr, self._indices, self._ids):
+            shared.flags.writeable = False
+        # this graph's neighbour lists: made from a row on first use, or
+        # written by fail_node / disable_link; they override the base
+        self._lists: dict[int, list[int]] = {}
 
     def copy(self) -> TopologyGraph:
         """An independent graph in this one's state; writes replace, so it
-        shares every node and neighbour list with this one."""
+        shares every node, neighbour list and base array with this one."""
         g = TopologyGraph.__new__(TopologyGraph)
+        g.__dict__.update(self.__dict__)
         g.nodes = dict(self.nodes)
-        g.radio_range = self.radio_range
-        g.version = self.version
-        g._adjacency = dict(self._adjacency)
+        g._lists = dict(self._lists)
         return g
 
     def _unlink(self, u: int, v: int):
-        self._adjacency[u] = [w for w in self._adjacency[u] if w != v]
+        self._lists[u] = [w for w in self.neighbors(u) if w != v]
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -164,16 +177,61 @@ class TopologyGraph:
 
     def neighbors(self, u: int) -> list[int]:
         """Alive neighbors of u in ascending id order (do not modify)."""
-        return self._adjacency.get(u, [])
+        nbrs = self._lists.get(u)
+        if nbrs is None:
+            row = self._row.get(u)
+            if row is None:
+                return []
+            nbrs = self._lists[u] = self._ids[
+                self._indices[self._indptr[row]:self._indptr[row + 1]]].tolist()
+        return nbrs
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjacency.get(u, ())
+        nbrs = self._lists.get(u)
+        return v in (self.neighbors(u) if nbrs is None else nbrs)
+
+    def rows(self, ids) -> np.ndarray:
+        """The base rows of those of ``ids`` that were alive when the graph
+        was made, in the order given; other ids are left out."""
+        row = self._row
+        return np.fromiter((row[i] for i in ids if i in row), dtype=np.intp)
+
+    def row_ids(self, rows) -> list[int]:
+        """The node ids of base rows."""
+        return self._ids[rows].tolist()
+
+    @property
+    def row_count(self) -> int:
+        return len(self._ids)
+
+    def links_from(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every link out of ``rows``, as arrays ``(from_rows, to_rows)``.
+
+        A row whose node has a neighbour list in this graph reads that list,
+        any other row the base, so this and ``neighbors`` agree on every pair.
+        """
+        src, dst = [], []
+        if self._lists:
+            listed = np.isin(rows, self.rows(self._lists))
+            for r, u in zip(rows[listed], self.row_ids(rows[listed])):
+                dst.append(self.rows(self._lists[u]))
+                src.append(np.full(len(dst[-1]), r))
+            rows = rows[~listed]
+        starts = self._indptr[rows]
+        counts = self._indptr[rows + 1] - starts
+        # gathered entry k of row i sits at indices[starts[i] + k - first[i]]
+        first = np.cumsum(counts) - counts
+        src.append(np.repeat(rows, counts))
+        dst.append(self._indices[np.arange(counts.sum())
+                                 + np.repeat(starts - first, counts)])
+        return np.concatenate(src), np.concatenate(dst)
 
     def fail_node(self, node_id: int):
         if self.nodes[node_id].alive:
             self.nodes[node_id] = replace(self.nodes[node_id], status=FAILED)
-            for v in self._adjacency.pop(node_id):
+            for v in self.neighbors(node_id):
                 self._unlink(v, node_id)
+            self._lists[node_id] = []
             self.version += 1
 
     def disable_link(self, u: int, v: int):
@@ -224,41 +282,8 @@ def deploy_field(area: tuple[float, float], node_count: int, seed: int,
     n_spare = int(node_count * redundant_fraction)
     spares = set(rng.choice(node_count, size=n_spare, replace=False).tolist()) if n_spare else set()
     nodes = [
-        Node(id=i, position=(float(xs[i]), float(ys[i])),
-             residual_energy=initial_energy, is_redundant=i in spares)
-        for i in range(node_count)
+        Node(id=i, position=(x, y), residual_energy=initial_energy,
+             is_redundant=i in spares)
+        for i, x, y in zip(range(node_count), xs.tolist(), ys.tolist())
     ]
-    return TopologyGraph(nodes, radio_range=radio_range)
-
-
-def dump_topology(g: TopologyGraph) -> str:
-    """One node per line: ``id x y energy redundant_flag``."""
-    lines = []
-    for nid in sorted(g.nodes):
-        n = g.nodes[nid]
-        lines.append(f"{n.id} {n.position[0]:.10g} {n.position[1]:.10g} "
-                     f"{n.residual_energy:.10g} {int(n.is_redundant)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_topology(text: str, radio_range: float) -> TopologyGraph:
-    """Inverse of dump_topology; blank lines and # comments are skipped."""
-    nodes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 'id x y energy redundant_flag', got {raw!r}")
-        try:
-            x, y, energy = (float(v) for v in parts[1:4])
-            for name, v in (("x", x), ("y", y), ("energy", energy)):
-                if not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v}")
-            nodes.append(Node(id=int(parts[0]), position=(x, y),
-                              residual_energy=energy,
-                              is_redundant=bool(int(parts[4]))))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
     return TopologyGraph(nodes, radio_range=radio_range)

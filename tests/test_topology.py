@@ -9,8 +9,6 @@ from wsn_multipath import (
     Node,
     TopologyGraph,
     deploy_field,
-    dump_topology,
-    parse_topology,
 )
 from wsn_multipath.topology import ALIVE, FAILED
 
@@ -259,6 +257,19 @@ class TestAdjacencyBuild:
         g = deploy_field((300.0, 300.0), 1_500, seed=3, radio_range=24.0)
         assert all(v is g.nodes[v].id for u in g.nodes for v in g.neighbors(u))
 
+    def test_copy_lists_stay_apart(self):
+        # a list made or written in one graph never shows in another
+        g = grid_graph()
+        g.neighbors(0)
+        h = g.copy()
+        h.neighbors(1)
+        h.disable_link(0, 1)
+        assert set(g._lists) == {0}
+        assert g.neighbors(0) == [1] and g.neighbors(1) == [0, 2]
+        g.fail_node(2)
+        assert set(h._lists) == {0, 1}
+        assert h.neighbors(1) == [2] and h.neighbors(2) == [1]
+
     def test_copy_is_independent(self):
         g = grid_graph()
         g.disable_link(1, 2)
@@ -311,12 +322,12 @@ class TestDeploy:
     def test_deterministic_for_seed(self):
         a = deploy_field((100.0, 100.0), 50, seed=7)
         b = deploy_field((100.0, 100.0), 50, seed=7)
-        assert dump_topology(a) == dump_topology(b)
+        assert a.nodes == b.nodes
 
     def test_seed_changes_layout(self):
         a = deploy_field((100.0, 100.0), 50, seed=7)
         b = deploy_field((100.0, 100.0), 50, seed=8)
-        assert dump_topology(a) != dump_topology(b)
+        assert a.nodes != b.nodes
 
     def test_positions_inside_area(self):
         g = deploy_field((30.0, 60.0), 200, seed=1)
@@ -331,35 +342,3 @@ class TestDeploy:
     def test_initial_energy_applied(self):
         g = deploy_field((10.0, 10.0), 5, seed=0, initial_energy=42.0)
         assert all(n.residual_energy == 42.0 for n in g.nodes.values())
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        g = deploy_field((50.0, 50.0), 25, seed=11, redundant_fraction=0.2)
-        text = dump_topology(g)
-        h = parse_topology(text, radio_range=g.radio_range)
-        assert dump_topology(h) == text
-
-    def test_line_format(self):
-        g = TopologyGraph([Node(id=4, position=(1.25, -3.5), residual_energy=7.5,
-                                is_redundant=True)], radio_range=1.0)
-        assert dump_topology(g) == "4 1.25 -3.5 7.5 1\n"
-
-    def test_comments_and_blanks_skipped(self):
-        text = "# field dump\n\n0 0 0 5 0\n1 1 0 5 1  # spare\n"
-        g = parse_topology(text, radio_range=2.0)
-        assert set(g.nodes) == {0, 1}
-        assert g.nodes[1].is_redundant
-
-    def test_malformed_line_reports_number(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_topology("0 0 0 5 0\n1 1 0\n", radio_range=1.0)
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("column, name", [(1, "x"), (2, "y"), (3, "energy")])
-    def test_non_finite_value_reports_line(self, bad, column, name):
-        fields = ["4", "1.0", "2.0", "10.0", "0"]
-        fields[column] = bad
-        text = "0 0 0 10 0\n# spare below\n" + " ".join(fields) + "\n"
-        with pytest.raises(ValueError, match=f"line 3: {name} must be finite"):
-            parse_topology(text, radio_range=5.0)
