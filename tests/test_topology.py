@@ -287,6 +287,108 @@ class TestAdjacencyBuild:
         assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
 
 
+def mixed_graph():
+    # ids out of order, 8 failed before the build; 9 -- 2 -- 5 -- 4 on a line
+    # and 8 in range of 2 and 5
+    nodes = [Node(id=5, position=(2.0, 0.0), residual_energy=1.0),
+             Node(id=9, position=(0.0, 0.0), residual_energy=1.0),
+             Node(id=8, position=(1.5, 0.0), residual_energy=1.0, status=FAILED),
+             Node(id=2, position=(1.0, 0.0), residual_energy=1.0),
+             Node(id=4, position=(3.0, 0.0), residual_energy=1.0)]
+    return TopologyGraph(nodes, radio_range=1.1)
+
+
+def links_by_id(g, ids):
+    src, dst = g.links_from(g.rows(ids))
+    return sorted(zip(g.row_ids(src), g.row_ids(dst)))
+
+
+def links_by_neighbors(g, ids):
+    return sorted((u, v) for u in ids for v in g.neighbors(u))
+
+
+class TestRows:
+    def test_rows_are_ranks_of_alive_ids(self):
+        g = mixed_graph()
+        assert g.row_count == 4
+        assert g.rows([9, 2, 4, 5]).tolist() == [3, 0, 1, 2]
+        # failed before the build, or never a node: no row
+        assert g.rows([8, 2, 77]).tolist() == [0]
+        assert g.rows([]).tolist() == []
+
+    def test_row_ids_round_trip(self):
+        g = mixed_graph()
+        ids = g.row_ids(g.rows([4, 9, 2]))
+        assert ids == [4, 9, 2]
+        assert all(v is g.nodes[v].id for v in ids)
+
+    def test_rows_outlive_a_failure(self):
+        # rows index the shared base, so a later failure keeps its row and
+        # empties its links instead
+        g = mixed_graph()
+        g.fail_node(5)
+        assert g.row_count == 4
+        assert g.rows([5]).tolist() == [2]
+        assert links_by_id(g, [5]) == []
+
+    def test_unknown_or_dead_at_build_has_no_links(self):
+        g = mixed_graph()
+        assert g.neighbors(8) == [] and g.neighbors(77) == []
+        assert not g.has_edge(8, 2) and not g.has_edge(2, 8)
+        assert set(g._lists) == {2}
+
+    def test_copy_shares_read_only_base(self):
+        g = mixed_graph()
+        h = g.copy()
+        h.fail_node(2)
+        for name in ("_indptr", "_indices", "_ids"):
+            assert getattr(h, name) is getattr(g, name)
+            assert not getattr(g, name).flags.writeable
+        assert g.neighbors(2) == [5, 9]
+
+
+class TestLinksFrom:
+    @pytest.mark.parametrize("edit", [
+        [],
+        [("neighbors", 2)],
+        [("fail_node", 5)],
+        [("disable_link", 9, 2)],
+        [("neighbors", 4), ("disable_link", 2, 5), ("fail_node", 4)],
+    ])
+    def test_agrees_with_neighbors(self, edit):
+        g = mixed_graph()
+        for op, *args in edit:
+            getattr(g, op)(*args)
+        for ids in ([9], [2, 5], [4, 9, 5, 2]):
+            assert links_by_id(g, ids) == links_by_neighbors(g, ids)
+
+    def test_no_rows_no_links(self):
+        g = mixed_graph()
+        g.disable_link(2, 5)
+        src, dst = g.links_from(g.rows([]))
+        assert len(src) == len(dst) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                    min_size=1, max_size=20),
+           st.sampled_from([1.0, 2.0, 3.0]), st.lists(EDITS, max_size=10),
+           st.data())
+    def test_edited_graphs_agree_with_neighbors(self, points, radio, edits, data):
+        # the gather over many rows reads the same adjacency as neighbors
+        # after any mix of failures, cuts and lookups, on a graph or a copy
+        g = TopologyGraph([Node(id=i, position=(float(x), float(y)),
+                                residual_energy=1.0)
+                           for i, (x, y) in enumerate(points)], radio_range=radio)
+        copy_at = data.draw(st.integers(0, len(edits)))
+        for k, (op, *args) in enumerate(edits):
+            if k == copy_at:
+                g = g.copy()
+            if args[0] in g.nodes and (op != "disable_link" or args[1] in g.nodes):
+                getattr(g, op)(*args)
+        ids = data.draw(st.lists(st.sampled_from(sorted(g.nodes)), unique=True))
+        assert links_by_id(g, ids) == links_by_neighbors(g, ids)
+
+
 class TestNearestRedundant:
     def test_closest_spare_wins(self):
         nodes = [
