@@ -38,8 +38,8 @@ for r in routes:
     print(f"  path {r.path_id}: tau = {prof.tau * 1e3:.1f} ms/hop, "
           f"span {prof.T_dist:.1f} m")
 
-# A routing table snapshots the topology version; mutating the graph
-# afterwards (failures, spare activation) invalidates stale tables loudly.
-table = build_routing_table(g, source, [sink], link)
-print(f"\ntable holds {len(table.routes_for(sink))} routes at topology "
-      f"version {table.version}")
+# The routing table bundles the routes with their profiles. It is frozen:
+# a transfer writes only its own copy of each route, so one table serves
+# every run, and a route node that dies later is handled as a fault.
+table = build_routing_table(g, source, sink, link)
+print(f"\ntable {table.source} -> {table.sink} holds {len(table.routes)} routes")

@@ -31,8 +31,8 @@ energy.k_r 0.024
 """
 
 cfg = parse_scenario(SCENARIO)
-g, table, source, sink = build_network(cfg)
-profiles = [r.profile for r in table.routes_for(sink)]
+g, table = build_network(cfg)
+profiles = [r.profile for r in table.routes]
 dist = allocate(Scheme.ADAPTIVE, cfg.ep, profiles, cfg.packets)
 
 # Node 3 goes silent at t = 50 ms, while the first packet is on the wire
@@ -41,7 +41,7 @@ dist = allocate(Scheme.ADAPTIVE, cfg.ep, profiles, cfg.packets)
 # the dead node's place on the route.
 faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
 rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                   config=SimConfig(trace=True), destination=sink)
+                   config=SimConfig(trace=True))
 
 print(rep.to_text())
 
@@ -55,10 +55,9 @@ for line in rep.trace_lines:
 # A link can also fail while both endpoints stay alive; the sender proves
 # its own radio with a beacon round-trip and the blame lands on the far
 # end of the broken hop instead.
-g2, table2, _, sink2 = build_network(parse_scenario(SCENARIO))
+g2, table2 = build_network(parse_scenario(SCENARIO))
 faults2 = FaultScript([FaultEvent(time=0.05, kind="link_fail", target=(3, 4))])
-rep2 = run_transfer(g2, table2, dist, cfg.ep, cfg.link, faults=faults2,
-                    destination=sink2)
+rep2 = run_transfer(g2, table2, dist, cfg.ep, cfg.link, faults=faults2)
 for fr in rep2.fault_records:
     print(f"\nlink failure verdict: case {fr.case.value}, failed node "
           f"{fr.failed_node}, detected by {fr.initiator}, "

@@ -39,7 +39,6 @@ from .topology import (
 from .routing import (
     Route,
     RoutingTable,
-    StaleRouteError,
     build_routing_table,
     discover_disjoint_paths,
     estimate_path_params,
@@ -67,7 +66,7 @@ __all__ = [
     "NoCapacityError", "coefficients_for_path", "solve_max_packets",
     "largest_remainder", "normalize_distribution", "allocate", "verify_edp_bound",
     "Node", "TopologyGraph", "UnrecoverableFailureError", "deploy_field",
-    "Route", "RoutingTable", "StaleRouteError", "discover_disjoint_paths",
+    "Route", "RoutingTable", "discover_disjoint_paths",
     "estimate_path_params", "build_routing_table", "replace_failed_node",
     "FaultCase", "FaultEvent", "FaultScript", "SimConfig", "run_transfer",
     "ScenarioConfig", "ScenarioError", "parse_scenario", "load_scenario",

@@ -86,8 +86,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_paths(args) -> int:
     cfg = load_scenario(args.scenario)
-    g, table, source, sink = build_network(cfg)
-    sys.stdout.write(table.format_routes(sink))
+    _, table = build_network(cfg)
+    sys.stdout.write(table.format_routes())
     return EXIT_OK
 
 

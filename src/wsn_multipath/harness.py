@@ -96,8 +96,8 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
     runs: list[SchemeRun] = []
     warnings: list[str] = []
     fabric_count = 0
-    pristine, pristine_table, _, sink = build_network(cfg)
-    profiles = [r.profile for r in pristine_table.routes_for(sink)]
+    pristine, table = build_network(cfg)
+    profiles = [r.profile for r in table.routes]
     hops_by_path = {p.path_id: p.H for p in profiles}
     for code in cfg.schemes:
         scheme = Scheme(code)
@@ -113,9 +113,8 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
                             control_bits=cfg.control_bits,
                             idle_power=cfg.idle_power, trace=cfg.trace)
         # the graph copy is made in the call so it is freed when the run ends
-        report = run_transfer(pristine.copy(), pristine_table, dist, cfg.ep, cfg.link,
-                              faults=cfg.faults, config=sim_cfg,
-                              destination=sink)
+        report = run_transfer(pristine.copy(), table, dist, cfg.ep, cfg.link,
+                              faults=cfg.faults, config=sim_cfg)
         fabric_count = max(fabric_count, len(report.fabric_nodes))
         runs.append(SchemeRun(
             scheme=scheme,

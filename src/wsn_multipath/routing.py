@@ -1,4 +1,4 @@
-"""Node-disjoint route discovery and routing tables.
+"""Node-disjoint route discovery and the routing table.
 
 Routes are found greedily: repeat a hop-count shortest-path search, record the
 result, delete its interior nodes from the working graph, and search again
@@ -15,26 +15,21 @@ makes no neighbour list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import EnergyParams, LinkParams, PathProfile, per_hop_delay
+from .model import LinkParams, PathProfile, per_hop_delay
 from .topology import TopologyGraph, UnrecoverableFailureError
 
 __all__ = [
     "Route",
     "RoutingTable",
-    "StaleRouteError",
     "discover_disjoint_paths",
     "estimate_path_params",
     "build_routing_table",
     "replace_failed_node",
 ]
-
-
-class StaleRouteError(RuntimeError):
-    """A route references a node that is no longer alive in the topology."""
 
 
 @dataclass(frozen=True)
@@ -66,33 +61,21 @@ class Route:
         return self.nodes[1:-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingTable:
+    """The disjoint routes from ``source`` to ``sink``, shortest first."""
+
     source: int
-    entries: dict[int, list[Route]] = field(default_factory=dict)
-    version: int = 0
+    sink: int
+    routes: tuple[Route, ...]
 
-    def destinations(self) -> list[int]:
-        return sorted(self.entries)
+    @property
+    def entries(self) -> dict[int, list[Route]]:
+        # only reader: bench/tracer.py's on_table, run by CI's traced benchmark step
+        return {self.sink: list(self.routes)}
 
-    def routes_for(self, destination: int) -> list[Route]:
-        return self.entries.get(destination, [])
-
-    def single_destination(self) -> int:
-        dests = self.destinations()
-        if len(dests) != 1:
-            raise ValueError(f"expected exactly one destination, table has {dests}")
-        return dests[0]
-
-    def check_fresh(self, g: TopologyGraph):
-        if self.version != g.version:
-            raise StaleRouteError(
-                f"routing table built at topology version {self.version}, "
-                f"graph is now at {g.version}")
-
-    def format_routes(self, destination: int) -> str:
-        lines = [f"{r.path_id}: {','.join(str(n) for n in r.nodes)}"
-                 for r in self.routes_for(destination)]
+    def format_routes(self) -> str:
+        lines = [f"{r.path_id}: {','.join(str(n) for n in r.nodes)}" for r in self.routes]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -173,7 +156,7 @@ def estimate_path_params(g: TopologyGraph, route: Route, link: LinkParams,
     """
     for nid in route.nodes:
         if nid not in g or not g.nodes[nid].alive:
-            raise StaleRouteError(f"route {route.path_id} references dead node {nid}")
+            raise ValueError(f"route {route.path_id} references dead node {nid}")
     t_dist = g.distance(route.source, route.sink)
     if t_dist <= 0:
         raise ValueError("source and sink positions coincide; no path distance")
@@ -181,24 +164,18 @@ def estimate_path_params(g: TopologyGraph, route: Route, link: LinkParams,
                        tau=per_hop_delay(packet_bits, link), T_dist=t_dist)
 
 
-def build_routing_table(g: TopologyGraph, source: int, destinations: list[int],
+def build_routing_table(g: TopologyGraph, source: int, sink: int,
                         link: LinkParams, max_paths: int = 5,
                         packet_bits: float = 1000.0) -> RoutingTable:
-    """Discover routes and parameter profiles for each destination.
+    """Discover the routes from source to sink and their parameter profiles.
 
-    Unreachable destinations get no entry; a destination equal to the source
-    is rejected (no self-entry).
+    An unreachable sink gives a table with no routes; a sink equal to the
+    source is rejected.
     """
-    table = RoutingTable(source=source)
-    for dest in destinations:
-        if dest == source:
-            continue
-        routes = [replace(r, profile=estimate_path_params(g, r, link, packet_bits=packet_bits))
-                  for r in discover_disjoint_paths(g, source, dest, max_paths=max_paths)]
-        if routes:
-            table.entries[dest] = routes
-    table.version = g.version
-    return table
+    routes = discover_disjoint_paths(g, source, sink, max_paths=max_paths)
+    return RoutingTable(source, sink, tuple(
+        replace(r, profile=estimate_path_params(g, r, link, packet_bits=packet_bits))
+        for r in routes))
 
 
 def replace_failed_node(g: TopologyGraph, failed_id: int, near: int | None = None,

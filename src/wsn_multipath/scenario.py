@@ -339,9 +339,9 @@ def _synthesize_topology(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTab
     """Lay out one physical network realizing the requested per-path shape.
 
     Source is node 0 at the origin, sink node 1 at (distance, 0). Path j
-    gets its interior nodes on a horizontal line at y = 10*(j+1); spares sit
-    below the axis. The radio range covers the whole layout so recovery
-    beacons always find a neighbor.
+    gets its interior nodes on a horizontal line at y = 10*(j+1); spare s sits
+    at y = -10*(s+1). The radio range is the layout's diagonal plus 1 m, so
+    every node hears every other and recovery beacons always find a neighbor.
     """
     t = cfg.t_dist
     nodes = [
@@ -366,21 +366,19 @@ def _synthesize_topology(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTab
         nodes.append(Node(id=next_id, position=(t / 2.0, -10.0 * (s + 1)),
                           residual_energy=cfg.initial_energy, is_redundant=True))
         next_id += 1
-    g = TopologyGraph(nodes, radio_range=3.0 * t + 1.0)
-    table = RoutingTable(source=0, entries={1: routes}, version=g.version)
-    return g, table
+    span = 10.0 * (len(cfg.hops) + cfg.redundant)
+    g = TopologyGraph(nodes, radio_range=math.hypot(t, span) + 1.0)
+    return g, RoutingTable(source=0, sink=1, routes=tuple(routes))
 
 
-def build_network(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTable, int, int]:
+def build_network(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTable]:
     """Materialize the scenario's topology and routing table.
 
-    Returns (graph, table, source, sink). Explicit-path scenarios synthesize
-    a layout matching the requested hop counts; field scenarios deploy nodes
-    at random and run route discovery.
+    Explicit-path scenarios synthesize a layout matching the requested hop
+    counts; field scenarios deploy nodes at random and run route discovery.
     """
     if cfg.mode == "explicit":
-        g, table = _synthesize_topology(cfg)
-        return g, table, 0, 1
+        return _synthesize_topology(cfg)
     g = deploy_field(cfg.area, cfg.field_nodes, cfg.field_seed,
                      radio_range=cfg.radio_range,
                      redundant_fraction=cfg.redundant_fraction,
@@ -390,10 +388,10 @@ def build_network(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTable, int
             raise ScenarioError(f"node {nid} not in deployed field", field_name=key)
     g.activate_spare(cfg.source)
     g.activate_spare(cfg.sink)
-    table = build_routing_table(g, cfg.source, [cfg.sink], cfg.link,
+    table = build_routing_table(g, cfg.source, cfg.sink, cfg.link,
                                 max_paths=cfg.max_paths, packet_bits=cfg.ep.S)
-    if not table.routes_for(cfg.sink):
+    if not table.routes:
         raise ScenarioError(
             f"no route from node {cfg.source} to node {cfg.sink} in the deployed field",
             field_name="field.sink")
-    return g, table, cfg.source, cfg.sink
+    return g, table

@@ -71,7 +71,6 @@ __all__ = [
     "FaultCase",
     "SimConfig",
     "TransferReport",
-    "TransferActiveError",
     "run_transfer",
 ]
 
@@ -118,10 +117,6 @@ def _finite_sum(values: list[float], what: str) -> float:
     if not math.isfinite(total):
         raise ValueError(f"the {what} total overflows")
     return total
-
-
-class TransferActiveError(RuntimeError):
-    """A transfer is already running on this topology."""
 
 
 class _Kahan:
@@ -388,16 +383,14 @@ class TransferReport:
 class _Engine:
     def __init__(self, g: TopologyGraph, table: RoutingTable, dist: Distribution,
                  ep: EnergyParams, link: LinkParams, faults: FaultScript | None,
-                 config: SimConfig, destination: int | None):
-        table.check_fresh(g)
+                 config: SimConfig):
         self.g = g
         self.dist = dist
         self.config = config
         self.tau_ctrl = per_hop_delay(config.control_bits, link)
         self.j_rx = ep.e_r * ep.T_2b * ep.S
         self.j_ctrl_rx = ep.e_r * ep.T_2b * config.control_bits
-        dest = destination if destination is not None else table.single_destination()
-        routes = {r.path_id: r for r in table.routes_for(dest)}
+        routes = {r.path_id: r for r in table.routes}
         self.paths: dict[int, _PathRun] = {}
         base = 0
         for pid, packets in dist.allocations:
@@ -1014,19 +1007,10 @@ class _Engine:
 def run_transfer(g: TopologyGraph, table: RoutingTable, dist: Distribution,
                  ep: EnergyParams, link: LinkParams,
                  faults: FaultScript | None = None,
-                 config: SimConfig | None = None,
-                 destination: int | None = None) -> TransferReport:
+                 config: SimConfig | None = None) -> TransferReport:
     """Simulate one transfer of ``dist`` over the table's routes.
 
-    Only one transfer may run on a topology at a time; reentrant calls are
-    rejected.
+    The run writes ``g`` (faults, spares, residual energy), so each run takes
+    its own graph. A route node already dead in ``g`` is a fault at t=0.
     """
-    if getattr(g, "_transfer_active", False):
-        raise TransferActiveError("a transfer is already running on this topology")
-    g._transfer_active = True
-    try:
-        engine = _Engine(g, table, dist, ep, link, faults,
-                         config or SimConfig(), destination)
-        return engine.run()
-    finally:
-        g._transfer_active = False
+    return _Engine(g, table, dist, ep, link, faults, config or SimConfig()).run()

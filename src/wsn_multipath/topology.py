@@ -17,15 +17,14 @@ that one rule, so beacons, the transfer engine and route discovery never
 disagree about whether u and v are linked. On a 50,000-node field only the
 few hundred nodes the engine asks about ever get a list.
 
-The graph is a single-writer structure: mutations bump ``version`` so routing
-tables built against an older topology can be detected as stale. Writes
-replace, they never edit in place: ``fail_node``, ``activate_spare`` and
-``set_residual`` store a new ``Node`` in this graph's ``nodes`` dict, and
-``fail_node`` and ``disable_link`` store new lists in its own list dict. So
-``copy`` is two shallow dict copies that share every ``Node``, list and base
-array with the parent, and a write to either graph never shows through the
-other. Writing ``g.nodes[i].<attr>`` directly is not supported: it would show
-through every graph sharing that node.
+``version`` counts the graph's mutations (failed nodes, disabled links,
+activated spares), starting at 1. Writes replace, they never edit in place:
+``fail_node``, ``activate_spare`` and ``set_residual`` store a new ``Node`` in
+this graph's ``nodes`` dict, and ``fail_node`` and ``disable_link`` store new
+lists in its own list dict. So ``copy`` is two shallow dict copies that share
+every ``Node``, list and base array with the parent, and a write to either
+graph never shows through the other. Writing ``g.nodes[i].<attr>`` directly is
+not supported: it would show through every graph sharing that node.
 """
 
 from __future__ import annotations
@@ -92,7 +91,8 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
     cells = ((pts - lo) / side).astype(np.int64) + 1
     ny = int(cells[:, 1].max()) + 2
     keys = cells[:, 0] * ny + cells[:, 1]
-    order = np.argsort(keys, kind="stable")
+    # rows in the smallest dtype that holds one, which sizes the result
+    order = np.argsort(keys, kind="stable").astype(np.min_scalar_type(n))
     keys = keys[order]
     xs, ys = pts[order, 0], pts[order, 1]
     here = np.arange(n)
@@ -133,13 +133,18 @@ class TopologyGraph:
             raise ValueError(f"node {bad.id} has a non-finite position {bad.position}")
         pairs = _pairs_within(pts, radio_range)
         # each pair in both directions as one key, row * n + column, so one
-        # sort groups the pairs by row and orders each row by neighbour
-        keys = np.concatenate((pairs[:, 0] * n + pairs[:, 1],
-                               pairs[:, 1] * n + pairs[:, 0]))
+        # sort groups the pairs by row and orders each row by neighbour.
+        # Filled in place, so only the pairs and the keys are ever live
+        m = len(pairs)
+        keys = np.empty(2 * m, dtype=np.int64)
+        for half, (u, v) in ((keys[:m], pairs.T), (keys[m:], pairs.T[::-1])):
+            np.multiply(u, n, out=half, dtype=np.int64)
+            half += v
+        del pairs
         keys.sort()
-        degree = np.bincount(pairs.ravel(), minlength=n)
-        self._indptr = np.concatenate(([0], np.cumsum(degree)))
-        self._indices = (keys % n).astype(np.min_scalar_type(n))
+        # row r's keys are the ones in [r * n, (r + 1) * n)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self._indices = np.remainder(keys, n, out=keys).astype(np.min_scalar_type(n))
         # indexing the object array hands out the nodes' own id objects, so
         # the lists share one int per node instead of one per entry
         self._ids = np.array(ids, dtype=object)

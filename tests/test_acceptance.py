@@ -158,8 +158,8 @@ def test_criterion_4_solver_root_properties():
 
 def test_criterion_5_edp_budget_met_at_root_and_after_scaling(bench_cfg):
     with _Verdict(5) as v:
-        g, table, src, sink = build_network(bench_cfg)
-        paths = [r.profile for r in table.routes_for(sink)]
+        g, table = build_network(bench_cfg)
+        paths = [r.profile for r in table.routes]
         ep = bench_cfg.ep
         budget = average_edp(ep, paths, 100)
         worst = 0.0
@@ -201,12 +201,12 @@ def test_criterion_6_simulator_matches_closed_forms():
             cfg = ScenarioConfig(mode="explicit", packets=1, schemes=[2],
                                  ep=ep, link=link, hops=hops, taus=taus,
                                  t_dist=float(rng.uniform(50.0, 200.0)))
-            g, table, src, sink = build_network(cfg)
-            profiles = [r.profile for r in table.routes_for(sink)]
+            g, table = build_network(cfg)
+            profiles = [r.profile for r in table.routes]
             alloc = tuple((p.path_id, int(rng.integers(1, 30))) for p in profiles)
             dist = Distribution(scheme=Scheme.EQUAL_SPLIT, allocations=alloc,
                                 total=sum(n for _, n in alloc))
-            rep = run_transfer(g, table, dist, ep, link, destination=sink)
+            rep = run_transfer(g, table, dist, ep, link)
             assert rep.total_delivered == dist.total
             assert not rep.fault_records
             for p in profiles:
@@ -244,12 +244,12 @@ TAU, TC, M = 0.02, 0.002, 5
 
 def _fault_run(fault):
     cfg = parse_scenario(SINGLE_PATH_TEXT)
-    g, table, src, sink = build_network(cfg)
-    profiles = [r.profile for r in table.routes_for(sink)]
+    g, table = build_network(cfg)
+    profiles = [r.profile for r in table.routes]
     dist = allocate(Scheme.ADAPTIVE, cfg.ep, profiles, cfg.packets)
     rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
                        faults=FaultScript([fault]),
-                       config=SimConfig(trace=True), destination=sink)
+                       config=SimConfig(trace=True))
     return rep
 
 
@@ -321,12 +321,11 @@ def test_criterion_8_route_disjointness_and_count_bound():
 def test_criterion_9_energy_conservation_and_allocation_totals(bench_cfg):
     with _Verdict(9) as v:
         # bitwise residual identity on a clean benchmark round
-        g, table, src, sink = build_network(bench_cfg)
-        profiles = [r.profile for r in table.routes_for(sink)]
+        g, table = build_network(bench_cfg)
+        profiles = [r.profile for r in table.routes]
         dist = allocate(Scheme.ADAPTIVE, bench_cfg.ep, profiles, 100)
         rep = run_transfer(g, table, dist, bench_cfg.ep, bench_cfg.link,
-                           config=SimConfig(idle_power=bench_cfg.idle_power),
-                           destination=sink)
+                           config=SimConfig(idle_power=bench_cfg.idle_power))
         nodes_checked = 0
         for nid, led in rep.ledger.nodes.items():
             assert g.node(nid).residual_energy == led.initial - led.consumed
@@ -335,14 +334,13 @@ def test_criterion_9_energy_conservation_and_allocation_totals(bench_cfg):
 
         # and on a round with a failure, replacement and control traffic
         fcfg = parse_scenario(SINGLE_PATH_TEXT)
-        fg, ftable, fsrc, fsink = build_network(fcfg)
-        fprofiles = [r.profile for r in ftable.routes_for(fsink)]
+        fg, ftable = build_network(fcfg)
+        fprofiles = [r.profile for r in ftable.routes]
         fdist = allocate(Scheme.ADAPTIVE, fcfg.ep, fprofiles, 12)
         frep = run_transfer(fg, ftable, fdist, fcfg.ep, fcfg.link,
                             faults=FaultScript([FaultEvent(
                                 time=0.05, kind="node_fail", target=3)]),
-                            config=SimConfig(idle_power=409.6e-6),
-                            destination=fsink)
+                            config=SimConfig(idle_power=409.6e-6))
         for nid, led in frep.ledger.nodes.items():
             assert fg.node(nid).residual_energy == led.initial - led.consumed
             nodes_checked += 1

@@ -41,10 +41,10 @@ def _runs(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
     untraced and windowed, each on a fresh copy of ``cfg``'s network."""
     out = []
     for stepped, trace in ((True, True), (False, True), (False, False)):
-        g, table, _, sink = build_network(cfg)
+        g, table = build_network(cfg)
         if tweak:
-            tweak(g, table)
-        dist = dist_for([r.profile for r in table.routes_for(sink)])
+            tweak(g)
+        dist = dist_for([r.profile for r in table.routes])
         no_windows = mock.patch.object(_Engine, "_fast_forward",
                                        lambda self, now: False)
         try:
@@ -53,8 +53,7 @@ def _runs(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
                                    faults=FaultScript(list(faults)),
                                    config=SimConfig(max_attempts=cfg.max_attempts,
                                                     control_bits=cfg.control_bits,
-                                                    idle_power=idle_power, trace=trace),
-                                   destination=sink)
+                                                    idle_power=idle_power, trace=trace))
         except RuntimeError as exc:  # the oracle's own failures must recur
             rep = str(exc)
         out.append((rep, g))
@@ -154,13 +153,34 @@ class TestDepletion:
     def test_route_node_runs_dry_mid_run(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text + "paths.redundant 1\n")
 
-        def drain(g, table):
+        def drain(g):
             g.set_residual(33, 0.02)   # about four packets' worth
-            table.version = g.version
 
         runs = _runs(cfg, _scheme(Scheme.ADAPTIVE, cfg), tweak=drain)
         assert not runs[0][1].nodes[33].alive
         assert_equivalent(runs)
+
+    @pytest.mark.parametrize("spares, victim, failed, note", [
+        (2, 3, [], ""),                                   # spare 60 takes over
+        (0, 3, [1], "unrecoverable"),
+        (2, 0, [1, 2, 3, 4, 5], "source/sink cannot be replaced"),
+    ])
+    def test_route_node_dead_before_run(self, bench_scenario_text, spares,
+                                        victim, failed, note):
+        # nothing checks the graph against the table: a node that died before
+        # the run is a fault at t=0, detected on the first hop that needs it
+        cfg = parse_scenario(bench_scenario_text + f"paths.redundant {spares}\n")
+        for scheme in (Scheme.EQUAL_SPLIT, Scheme.ADAPTIVE):
+            runs = _runs(cfg, _scheme(scheme, cfg),
+                         tweak=lambda g: g.fail_node(victim))
+            rep = runs[0][0]
+            assert rep.failed_paths == failed
+            assert rep.total_delivered + rep.total_dropped == 100
+            assert {fr.note for fr in rep.fault_records} == {note}
+            if not failed:
+                assert rep.total_delivered == 100
+                assert [fr.replacement for fr in rep.fault_records] == [60]
+            assert_equivalent(runs)
 
     def test_tiny_initial_energy(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text + "sim.initial_energy 1e-6\n")
@@ -189,8 +209,8 @@ sim.idle_power 409.6e-6
 
 def test_field_with_three_node_failures():
     cfg = parse_scenario(FIELD)
-    g, table, _, sink = build_network(cfg)
-    routes = table.routes_for(sink)
+    g, table = build_network(cfg)
+    routes = table.routes
     faults = [FaultEvent(time=t, kind="node_fail",
                          target=r.nodes[1:-1][len(r.nodes[1:-1]) // 2])
               for t, r in zip((0.05, 0.10, 0.15), routes)]

@@ -172,8 +172,8 @@ def field_faults_config():
     # node_fail on the middle interior node of routes 1-3, as the benchmark's
     # field_faults workload places them
     cfg = parse_scenario(FIELD_FAULTS)
-    _, table, _, sink = build_network(cfg)
-    for route, t in zip(table.routes_for(sink), (0.05, 0.10, 0.15)):
+    _, table = build_network(cfg)
+    for route, t in zip(table.routes, (0.05, 0.10, 0.15)):
         interior = route.interior
         cfg.faults.events.append(FaultEvent(time=t, kind="node_fail",
                                             target=interior[len(interior) // 2]))
@@ -212,18 +212,16 @@ class TestSchemeIsolation:
 
         def counting_build(cfg):
             net = build_network(cfg)
-            built.append((net, graph_state(net[0]),
-                          {d: [r.nodes for r in rs] for d, rs in net[1].entries.items()}))
+            built.append((net, graph_state(net[0]), net[1].routes))
             return net
 
         monkeypatch.setattr(harness, "build_network", counting_build)
         rep = run_comparison(faulty_config)
         assert len(built) == 1
-        (g, table, _, _), g_before, routes_before = built[0]
+        (g, table), g_before, routes_before = built[0]
         # every scheme ran on a copy: the pristine network is untouched
         assert graph_state(g) == g_before
-        assert {d: [r.nodes for r in rs] for d, rs in table.entries.items()} == routes_before
-        assert table.version == g.version
+        assert table.routes == routes_before
         assert sum(len(r.transfer.fault_records) for r in rep.runs) > 0
 
         for r in rep.runs:

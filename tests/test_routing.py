@@ -9,7 +9,6 @@ from wsn_multipath import (
     LinkParams,
     Node,
     Route,
-    StaleRouteError,
     TopologyGraph,
     UnrecoverableFailureError,
     build_network,
@@ -252,16 +251,16 @@ def field_50k():
 
 class TestLargeField:
     def test_routes_pinned(self, field_50k):
-        g, table, source, sink = field_50k
-        assert table.format_routes(sink) == FIELD_50K_ROUTES
+        g, table = field_50k
+        assert table.format_routes() == FIELD_50K_ROUTES
 
     def test_few_neighbour_lists(self, field_50k):
         # discovery reads the shared base rows and makes no list; a list is
         # made only for a node asked about, in the graph that was asked
-        g, table, source, sink = field_50k
+        g, table = field_50k
         assert g._lists == {}
         h = g.copy()
-        hops = [(u, v) for r in table.routes_for(sink)
+        hops = [(u, v) for r in table.routes
                 for u, v in zip(r.nodes, r.nodes[1:])]
         assert all(h.has_edge(u, v) for u, v in hops)
         assert set(h._lists) == {u for u, v in hops}
@@ -277,42 +276,37 @@ class TestEstimate:
         assert prof.H == 2
         assert prof.T_dist == 100.0
 
-    def test_dead_node_raises_stale(self):
+    def test_dead_node_raises(self):
         g = graph_from({0: (0, 0), 1: (50, 0), 2: (100, 0)}, radio=60.0)
         g.fail_node(1)
         r = Route(path_id=1, nodes=(0, 1, 2))
-        with pytest.raises(StaleRouteError):
+        with pytest.raises(ValueError, match="dead node 1"):
             estimate_path_params(g, r, LinkParams(b=50000.0))
 
 
 class TestRoutingTable:
     def test_build_fills_profiles(self):
         g = diamond()
-        table = build_routing_table(g, 0, [3], LinkParams(b=50000.0))
-        routes = table.routes_for(3)
-        assert len(routes) == 2
-        assert all(r.profile is not None for r in routes)
-        assert table.version == g.version
+        table = build_routing_table(g, 0, 3, LinkParams(b=50000.0))
+        assert (table.source, table.sink) == (0, 3)
+        assert len(table.routes) == 2
+        assert all(r.profile is not None for r in table.routes)
 
-    def test_self_destination_skipped(self):
-        table = build_routing_table(diamond(), 0, [0, 3], LinkParams(b=50000.0))
-        assert table.destinations() == [3]
+    def test_self_sink_rejected(self):
+        with pytest.raises(ValueError, match="must differ"):
+            build_routing_table(diamond(), 0, 0, LinkParams(b=50000.0))
 
-    def test_unreachable_destination_absent(self):
+    def test_unreachable_sink_no_routes(self):
         g = graph_from({0: (0, 0), 1: (1, 0), 2: (50, 50)}, radio=1.5)
-        table = build_routing_table(g, 0, [1, 2], LinkParams(b=50000.0))
-        assert table.destinations() == [1]
-
-    def test_stale_after_mutation(self):
-        g = diamond()
-        table = build_routing_table(g, 0, [3], LinkParams(b=50000.0))
-        g.fail_node(1)
-        with pytest.raises(StaleRouteError):
-            table.check_fresh(g)
+        table = build_routing_table(g, 0, 2, LinkParams(b=50000.0))
+        assert table.routes == ()
+        assert table.format_routes() == ""
 
     def test_format_routes(self):
-        table = build_routing_table(diamond(), 0, [3], LinkParams(b=50000.0))
-        assert table.format_routes(3) == "1: 0,1,3\n2: 0,2,3\n"
+        table = build_routing_table(diamond(), 0, 3, LinkParams(b=50000.0))
+        assert table.format_routes() == "1: 0,1,3\n2: 0,2,3\n"
+        # the one-sink view bench/tracer.py reads
+        assert table.entries == {3: list(table.routes)}
 
 
 class TestReplacement:

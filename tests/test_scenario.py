@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -8,6 +9,7 @@ from wsn_multipath import (
     bundled_scenario_path,
     load_scenario,
     parse_scenario,
+    run_comparison,
 )
 
 
@@ -270,24 +272,24 @@ energy.k_r 0.01
 class TestSynthesizedTopology:
     def test_node_count_matches_hops(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text + "paths.redundant 2\n")
-        g, table, s, t = build_network(cfg)
+        g, table = build_network(cfg)
         interiors = sum(h - 1 for h in cfg.hops)
         assert len(g.nodes) == 2 + interiors + 2
-        assert (s, t) == (0, 1)
+        assert (table.source, table.sink) == (0, 1)
 
     def test_routes_realize_requested_hops(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text)
-        g, table, s, t = build_network(cfg)
-        routes = table.routes_for(t)
+        g, table = build_network(cfg)
+        routes = table.routes
         assert [r.hops for r in routes] == cfg.hops
         assert [r.profile.tau for r in routes] == cfg.taus
         assert all(r.profile.T_dist == 100.0 for r in routes)
 
     def test_routes_disjoint_and_alive(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text)
-        g, table, s, t = build_network(cfg)
+        g, table = build_network(cfg)
         seen = set()
-        for r in table.routes_for(t):
+        for r in table.routes:
             inner = set(r.interior)
             assert not inner & seen
             seen |= inner
@@ -295,8 +297,21 @@ class TestSynthesizedTopology:
 
     def test_spares_marked_redundant(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text + "paths.redundant 3\n")
-        g, _, _, _ = build_network(cfg)
+        g, _ = build_network(cfg)
         assert sum(n.is_redundant for n in g.nodes.values()) == 3
+
+    @pytest.mark.parametrize("distance", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("spares", [0, 3])
+    def test_range_covers_layout(self, distance, spares):
+        # the rows sit 10 m apart whatever the distance, so a short layout
+        # is taller than it is wide: every node must still hear every other
+        cfg = dataclasses.replace(load_scenario(bundled_scenario_path()),
+                                  t_dist=distance, redundant=spares)
+        g, _ = build_network(cfg)
+        assert all(g.has_edge(u, v) for u, v in itertools.combinations(g.nodes, 2))
+        rep = run_comparison(cfg)
+        assert [r.transfer.total_dropped for r in rep.runs] == [0, 0, 0]
+        assert not rep.warnings
 
 
 class TestFieldMode:
@@ -316,8 +331,8 @@ energy.k_r 0.01
 
     def test_discovery_runs(self):
         cfg = parse_scenario(self.FIELD)
-        g, table, s, t = build_network(cfg)
-        routes = table.routes_for(t)
+        g, table = build_network(cfg)
+        routes = table.routes
         assert routes, "expected at least one route through the field"
         assert all(r.profile is not None for r in routes)
 

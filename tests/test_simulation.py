@@ -22,7 +22,7 @@ from wsn_multipath import (
     path_energy,
     run_transfer,
 )
-from wsn_multipath.simulation import EventKind, TransferActiveError, _Engine
+from wsn_multipath.simulation import EventKind, _Engine
 
 SINGLE_PATH_TEXT = """
 paths.hops 5
@@ -42,25 +42,25 @@ TAU, TC, M = 0.02, 0.002, 5
 
 def single_path_net(packets=1, spares=1):
     cfg = parse_scenario(SINGLE_PATH_TEXT.format(packets=packets, spares=spares))
-    g, table, s, t = build_network(cfg)
-    profiles = [r.profile for r in table.routes_for(t)]
+    g, table = build_network(cfg)
+    profiles = [r.profile for r in table.routes]
     dist = allocate(Scheme.ADAPTIVE, cfg.ep, profiles, packets)
-    return cfg, g, table, dist, t
+    return cfg, g, table, dist
 
 
 def bench_net(bench_scenario_text, packets=100):
     cfg = parse_scenario(bench_scenario_text)
     cfg.packets = packets
-    g, table, s, t = build_network(cfg)
-    profiles = [r.profile for r in table.routes_for(t)]
-    return cfg, g, table, profiles, t
+    g, table = build_network(cfg)
+    profiles = [r.profile for r in table.routes]
+    return cfg, g, table, profiles
 
 
 class TestFaultFreeTransfer:
     def test_per_path_delay_matches_closed_form(self, bench_scenario_text):
-        cfg, g, table, profiles, t = bench_net(bench_scenario_text)
+        cfg, g, table, profiles = bench_net(bench_scenario_text)
         dist = allocate(Scheme.EQUAL_SPLIT, cfg.ep, profiles, 100)
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link)
         for p in profiles:
             want = 20 * p.tau * p.H
             assert rep.path_delays[p.path_id] == pytest.approx(want, rel=1e-9)
@@ -68,9 +68,9 @@ class TestFaultFreeTransfer:
         assert rep.total_delivered == 100
 
     def test_comm_energy_matches_traffic_term(self, bench_scenario_text):
-        cfg, g, table, profiles, t = bench_net(bench_scenario_text)
+        cfg, g, table, profiles = bench_net(bench_scenario_text)
         dist = allocate(Scheme.ADAPTIVE, cfg.ep, profiles, 100)
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link)
         for p in profiles:
             delta = dist.packets_for(p.path_id)
             traffic = path_energy(cfg.ep, p, delta) - cfg.ep.K_r * (p.H + 1)
@@ -78,27 +78,27 @@ class TestFaultFreeTransfer:
                 traffic, rel=1e-6)
 
     def test_no_faults_no_records_no_drops(self, bench_scenario_text):
-        cfg, g, table, profiles, t = bench_net(bench_scenario_text)
+        cfg, g, table, profiles = bench_net(bench_scenario_text)
         dist = allocate(Scheme.SINGLE_PATH, cfg.ep, profiles, 50)
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link)
         assert rep.fault_records == []
         assert rep.total_dropped == 0
         assert rep.retransmissions == {p.path_id: 0 for p in profiles}
 
     def test_zero_packets(self, bench_scenario_text):
-        cfg, g, table, profiles, t = bench_net(bench_scenario_text)
+        cfg, g, table, profiles = bench_net(bench_scenario_text)
         dist = allocate(Scheme.EQUAL_SPLIT, cfg.ep, profiles, 0)
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link)
         assert rep.completion_time == 0.0
         assert rep.total_delivered == 0
 
 
 class TestCaseOneRecovery:
     def run(self, fail_time=0.05):
-        cfg, g, table, dist, t = single_path_net()
+        cfg, g, table, dist = single_path_net()
         faults = FaultScript([FaultEvent(time=fail_time, kind="node_fail", target=3)])
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                           config=SimConfig(trace=True), destination=t)
+                           config=SimConfig(trace=True))
         return rep
 
     def test_delay_overhead(self):
@@ -130,11 +130,10 @@ class TestCaseOneRecovery:
 
 class TestCaseTwoRecovery:
     def run(self):
-        cfg, g, table, dist, t = single_path_net()
+        cfg, g, table, dist = single_path_net()
         faults = FaultScript([FaultEvent(time=0.05, kind="link_fail", target=(3, 4))])
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(trace=True), faults=faults,
-                           destination=t)
+                           config=SimConfig(trace=True), faults=faults)
         return rep
 
     def test_delay_overhead(self):
@@ -175,10 +174,10 @@ class TestTracePromise:
     def test_fault_free_trace_is_two_lines_per_hop(self, bench_scenario_text, scheme):
         # a hop that does not fail arms no timer and waits on no ack, so the
         # trace holds only its send and its arrival
-        cfg, g, table, profiles, t = bench_net(bench_scenario_text)
+        cfg, g, table, profiles = bench_net(bench_scenario_text)
         dist = allocate(scheme, cfg.ep, profiles, cfg.packets)
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(trace=True), destination=t)
+                           config=SimConfig(trace=True))
         hops = {p.path_id: p.H for p in profiles}
         assert len(rep.trace_lines) == 2 * sum(n * hops[pid]
                                                for pid, n in dist.allocations)
@@ -193,9 +192,9 @@ class TestTracePromise:
             monkeypatch.setattr(_Engine, "_fast_forward", lambda self, now: False)
         traces = []
         for stale in (False, True):
-            cfg, g, table, dist, t = single_path_net(packets=3, spares=0)
+            cfg, g, table, dist = single_path_net(packets=3, spares=0)
             engine = _Engine(g, table, dist, cfg.ep, cfg.link, None,
-                             SimConfig(trace=True), t)
+                             SimConfig(trace=True))
             if stale:
                 engine._push(0.01, EventKind.PACKET_SEND, node_from=0, node_to=2,
                              packet_id=0, path_id=1, instance=0)
@@ -206,13 +205,13 @@ class TestTracePromise:
 
 class TestTableReadOnly:
     def test_recovery_leaves_routing_table_as_built(self):
-        cfg, g, table, dist, t = single_path_net(packets=3, spares=2)
-        before = ({d: list(rs) for d, rs in table.entries.items()}, table.version)
+        cfg, g, table, dist = single_path_net(packets=3, spares=2)
+        before = table.routes
         faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                           destination=t)
-        # routes, profiles and version all unchanged; the spare lives in the report
-        assert (table.entries, table.version) == before
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults)
+        # routes and profiles unchanged; the spare lives in the report
+        assert table.routes == before
+        assert [r.nodes for r in table.routes] == [(0, 2, 3, 4, 5, 1)]
         assert [fr.replacement for fr in rep.fault_records if fr.drove_recovery] == [6]
         assert 6 in rep.fabric_nodes
         assert rep.total_delivered == 3
@@ -220,10 +219,9 @@ class TestTableReadOnly:
 
 class TestUnrecoverable:
     def test_no_spares_drops_remaining(self):
-        cfg, g, table, dist, t = single_path_net(packets=4, spares=0)
+        cfg, g, table, dist = single_path_net(packets=4, spares=0)
         faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                           destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults)
         assert rep.failed_paths == [1]
         assert math.isinf(rep.path_delays[1])
         assert rep.delivered[1] + rep.dropped[1] == 4
@@ -231,21 +229,19 @@ class TestUnrecoverable:
         assert any("unrecoverable" in fr.note for fr in rep.fault_records)
 
     def test_source_death_cannot_be_replaced(self):
-        cfg, g, table, dist, t = single_path_net(packets=3, spares=2)
+        cfg, g, table, dist = single_path_net(packets=3, spares=2)
         faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=0)])
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                           destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults)
         assert rep.failed_paths == [1]
         assert any("source/sink" in fr.note for fr in rep.fault_records)
 
     def test_sender_and_receiver_both_dead_fails_path(self):
         # hop 3 -> 4 is in flight when both ends die: no sender retries and
         # no receiver timer detects, so the path fails when the timer is due
-        cfg, g, table, dist, t = single_path_net(packets=12, spares=2)
+        cfg, g, table, dist = single_path_net(packets=12, spares=2)
         faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3),
                               FaultEvent(time=0.05, kind="node_fail", target=4)])
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                           destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults)
         assert rep.failed_paths == [1]
         assert (rep.delivered[1], rep.dropped[1]) == (0, 12)
         [fr] = rep.fault_records
@@ -254,13 +250,12 @@ class TestUnrecoverable:
         assert fr.note == "sender and receiver both failed"
 
     def test_multipath_other_paths_unaffected(self, bench_scenario_text):
-        cfg, g, table, profiles, t = bench_net(bench_scenario_text + "paths.redundant 1\n")
+        cfg, g, table, profiles = bench_net(bench_scenario_text + "paths.redundant 1\n")
         dist = allocate(Scheme.EQUAL_SPLIT, cfg.ep, profiles, 50)
         # node on path 3 (the 5-hop one) dies; its spare keeps it going
-        victim = table.routes_for(t)[2].nodes[2]
+        victim = table.routes[2].nodes[2]
         faults = FaultScript([FaultEvent(time=0.3, kind="node_fail", target=victim)])
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                           destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults)
         assert rep.total_delivered == 50
         assert rep.failed_paths == []
         for pid in (1, 2, 4, 5):
@@ -272,24 +267,17 @@ class TestDeterminism:
     def test_repeat_runs_byte_identical(self):
         texts = []
         for _ in range(2):
-            cfg, g, table, dist, t = single_path_net(packets=3)
+            cfg, g, table, dist = single_path_net(packets=3)
             faults = FaultScript([FaultEvent(time=0.05, kind="link_fail", target=(3, 4))])
             rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                               config=SimConfig(trace=True), destination=t)
+                               config=SimConfig(trace=True))
             texts.append(rep.to_text() + "\n".join(rep.trace_lines))
         assert texts[0] == texts[1]
 
-    def test_reentrant_transfer_rejected(self):
-        cfg, g, table, dist, t = single_path_net()
-        g._transfer_active = True
-        with pytest.raises(TransferActiveError):
-            run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
-        g._transfer_active = False
-
     def test_trace_line_shape(self):
-        cfg, g, table, dist, t = single_path_net()
+        cfg, g, table, dist = single_path_net()
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(trace=True), destination=t)
+                           config=SimConfig(trace=True))
         first = rep.trace_lines[0].split()
         assert len(first) == 6
         assert first[1] == "PacketSend"
@@ -306,13 +294,12 @@ class TestClassifyFault:
                       is_redundant=True)]
         g = TopologyGraph(nodes, radio_range=1.5)
         profile = PathProfile(path_id=1, H=2, tau=TAU, T_dist=2.0)
-        table = RoutingTable(source=0, entries={1: [Route(1, (0, 2, 1), profile)]},
-                             version=g.version)
+        table = RoutingTable(source=0, sink=1, routes=(Route(1, (0, 2, 1), profile),))
         dist = Distribution(scheme=Scheme.SINGLE_PATH, allocations=((1, 1),), total=1)
         ep = EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024)
         faults = FaultScript([FaultEvent(time=0.0, kind="link_fail", target=(0, 2))])
         rep = run_transfer(g, table, dist, ep, LinkParams(b=50000.0),
-                           faults=faults, destination=1)
+                           faults=faults)
         driving = [fr for fr in rep.fault_records if fr.drove_recovery]
         assert len(driving) == 1
         fr = driving[0]
@@ -324,9 +311,9 @@ class TestClassifyFault:
 
 class TestAccounting:
     def test_off_path_node_does_not_idle(self):
-        cfg, g, table, dist, t = single_path_net(packets=1, spares=1)
+        cfg, g, table, dist = single_path_net(packets=1, spares=1)
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(idle_power=409.6e-6), destination=t)
+                           config=SimConfig(idle_power=409.6e-6))
         # spare 6 never joins the fabric: no idle and no traffic charges,
         # so it has no ledger
         assert 6 not in rep.fabric_nodes
@@ -336,28 +323,27 @@ class TestAccounting:
             409.6e-6 * (5 * TAU - TAU), rel=1e-9)
 
     def test_busy_time_subtracted_from_idle(self, bench_scenario_text):
-        cfg, g, table, profiles, t = bench_net(bench_scenario_text)
+        cfg, g, table, profiles = bench_net(bench_scenario_text)
         dist = allocate(Scheme.SINGLE_PATH, cfg.ep, profiles, 100)
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(idle_power=409.6e-6), destination=t)
+                           config=SimConfig(idle_power=409.6e-6))
         idle = math.fsum(rep.ledger.nodes[n].idle.value for n in rep.fabric_nodes)
         assert idle == pytest.approx(0.237568, rel=1e-6)
 
     def test_residual_write_back_consistent(self):
-        cfg, g, table, dist, t = single_path_net(packets=5)
+        cfg, g, table, dist = single_path_net(packets=5)
         initial = {n.id: n.residual_energy for n in g.nodes.values()}
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(idle_power=409.6e-6), destination=t)
+                           config=SimConfig(idle_power=409.6e-6))
         for nid, led in rep.ledger.nodes.items():
             assert led.initial == initial[nid]
             # the write-back stores exactly initial minus the ledger sum
             assert g.nodes[nid].residual_energy == led.initial - led.consumed
 
     def test_depleted_node_dies_mid_run(self):
-        cfg, g, table, dist, t = single_path_net(packets=3, spares=1)
+        cfg, g, table, dist = single_path_net(packets=3, spares=1)
         g.set_residual(3, 0.005)  # about one packet's worth
-        table.version = g.version
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, destination=t)
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link)
         assert not g.nodes[3].alive
         # the transfer still completes through the spare
         assert rep.total_delivered == 3
@@ -386,10 +372,8 @@ class TestLazyLedgers:
         cfg = parse_scenario(FIELD_FAULTS)
         runs = []
         for trace in (False, True):
-            g, table, _, t = build_network(cfg)
-            routes = table.routes_for(t)
-            # recovery swaps spares into the table's route list, so keep
-            # the discovered routes aside
+            g, table = build_network(cfg)
+            routes = table.routes
             discovered = {r.path_id: r.nodes for r in routes}
             faults = FaultScript([
                 FaultEvent(time=when, kind="node_fail",
@@ -398,8 +382,7 @@ class TestLazyLedgers:
             dist = allocate(scheme, cfg.ep, [r.profile for r in routes], cfg.packets)
             initial = {n.id: n.residual_energy for n in g.nodes.values()}
             rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                               config=SimConfig(idle_power=cfg.idle_power, trace=trace),
-                               destination=t)
+                               config=SimConfig(idle_power=cfg.idle_power, trace=trace))
             runs.append((g, initial, discovered, rep))
         # the stepped run's trace names every beacon neighbour
         beacons = {int(line.split()[3]) for line in runs[1][3].trace_lines
