@@ -84,8 +84,11 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
     lo = pts.min(axis=0)
     # at most 2**20 cells a side, so the int64 key cannot overflow; the
     # 2**-20 margin keeps two points whose rounded distance passes the test
-    # in the same or adjacent cells despite rounding in the cell arithmetic
-    side = max(r, float((pts.max(axis=0) - lo).max()) / 2**20) * (1 + 2**-20)
+    # in the same or adjacent cells despite rounding in the cell arithmetic.
+    # Below a range of 2**-500 the squares underflow, and ``dx*dx <= r*r``
+    # can pass for a pair many ranges apart; cells no smaller than 2**-500,
+    # whose square is still a normal float, keep such a pair adjacent too.
+    side = max(r, float((pts.max(axis=0) - lo).max()) / 2**20, 2.0**-500) * (1 + 2**-20)
     # an empty row of cells below and above, so a step of one cell in y
     # never reaches into the next column's cells
     cells = ((pts - lo) / side).astype(np.int64) + 1

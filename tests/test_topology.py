@@ -232,6 +232,9 @@ class TestAdjacencyBuild:
                (4.0, 3.0, True, 40)], 5.0))
     @example(([(0.0, 0.0, True, 1), (1e12, 0.0, True, 2), (1e12 + 0.005, 0.0, True, 3),
                (-1e12, 0.01, True, 4)], 1e-2))
+    # squares that underflow to 0 pass the range test for points 600 ranges apart
+    @example(([(0.0, 0.0, False, 2), (1.2169641316135087e-268, 0.0, True, 0),
+               (7.831658045683603e-266, 0.0, True, 1)], 1.2169641316135087e-268))
     def test_matches_pairwise_build(self, layout):
         # some nodes are already failed when the graph is made
         points, radio = layout
