@@ -18,8 +18,7 @@ from wsn_multipath import (
 # spares for fault recovery. The seed fixes the layout.
 g = deploy_field(area=(80.0, 80.0), node_count=120, seed=4,
                  radio_range=18.0, redundant_fraction=0.05)
-spares = sorted(n.id for n in g.nodes.values() if n.is_redundant)
-print(f"deployed {len(g.nodes)} nodes, spares held back: {spares}")
+print(f"deployed {len(g)} nodes, spares held back: {sorted(g.spares)}")
 
 # Routes are peeled off one at a time: shortest first, then its interior
 # nodes are removed and the next shortest is found, so no two routes share

@@ -31,7 +31,6 @@ from .distribution import (
     verify_edp_bound,
 )
 from .topology import (
-    Node,
     TopologyGraph,
     UnrecoverableFailureError,
     deploy_field,
@@ -65,7 +64,7 @@ __all__ = [
     "Scheme", "Distribution", "QuadraticCoefficients", "DegeneratePathError",
     "NoCapacityError", "coefficients_for_path", "solve_max_packets",
     "largest_remainder", "normalize_distribution", "allocate", "verify_edp_bound",
-    "Node", "TopologyGraph", "UnrecoverableFailureError", "deploy_field",
+    "TopologyGraph", "UnrecoverableFailureError", "deploy_field",
     "Route", "RoutingTable", "discover_disjoint_paths",
     "estimate_path_params", "build_routing_table", "replace_failed_node",
     "FaultCase", "FaultEvent", "FaultScript", "SimConfig", "run_transfer",

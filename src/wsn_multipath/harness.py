@@ -2,9 +2,8 @@
 
 The network is built once per comparison: one deploy, one adjacency and one
 route discovery. Each scheme then runs on its own copy of that pristine graph,
-so faults and energy drain do not leak between runs. The copy costs two
-shallow dict copies: graph writes replace the node or neighbour list they
-change, never edit it, so the copy and the pristine graph share the rest.
+so faults and energy drain do not leak between runs. The copy copies the
+graph's small sets and dicts of changed node state and shares the rest.
 Every scheme reads the same routing table: it is read-only once built, and
 recovery puts spares into the engine's own route lists.
 Delay is the completion time of the whole transfer; energy is communication

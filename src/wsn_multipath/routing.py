@@ -6,11 +6,11 @@ until the sink becomes unreachable. The direct source-sink edge (if the two
 are in radio range) may serve as at most one single-hop route. All tie-breaks
 are by lowest node id, so discovery is fully deterministic.
 
-The search is a level-synchronous frontier BFS over the graph's CSR rows
-(Beamer et al., "Direction-optimizing breadth-first search", SC 2012): numpy
-gathers every link out of a hop level at once through
-``TopologyGraph.links_from``, so no Python code runs per node and the search
-makes no neighbour list.
+The search is a level-synchronous frontier BFS over the graph's CSR rows,
+which are indexed by node id (Beamer et al., "Direction-optimizing
+breadth-first search", SC 2012): numpy gathers every link out of a hop level
+at once through ``TopologyGraph.links_from``, so no Python code runs per node
+and the search makes no neighbour list.
 """
 
 from __future__ import annotations
@@ -84,36 +84,33 @@ def _shortest_hops(g: TopologyGraph, source: int, sink: int,
     """Min-hop path avoiding ``removed`` interiors; lowest-id tie-breaks.
 
     Breadth-first over the graph's rows, one hop level at a time: each level
-    gathers every link out of the frontier at once, drops the rows already
-    seen, and gives each new row its lowest frontier parent. Rows are ranks
-    of ids, so that is the lowest-id parent, and the returned path is the
-    lexicographically smallest among min-hop paths.
+    gathers every link out of the frontier at once, drops the nodes already
+    seen, and gives each new node its lowest-id frontier parent, so the
+    returned path is the lexicographically smallest among min-hop paths.
     """
     if source == sink:
         return [source]
-    ends = g.rows((source, sink))
-    if len(ends) < 2:
+    if source not in g or sink not in g:
         return None
-    s, t = ends
-    n = g.row_count
-    seen = np.zeros(n, dtype=bool)      # rows no expansion may enter
-    seen[g.rows(removed - {sink})] = True
-    seen[s] = True
+    n = len(g)
+    seen = np.zeros(n, dtype=bool)      # nodes no expansion may enter
+    seen[list(removed - {sink})] = True
+    seen[source] = True
     parent = np.full(n, n)
-    frontier = np.array([s])
+    frontier = np.array([source])
     while len(frontier):
         src, dst = g.links_from(frontier)
         fresh = ~seen[dst]
-        if skip_direct and frontier[0] == s:    # the source's link to the sink
-            fresh &= dst != t
+        if skip_direct and frontier[0] == source:    # the source's link to the sink
+            fresh &= dst != sink
         src, dst = src[fresh], dst[fresh]
         np.minimum.at(parent, dst, src)
         seen[dst] = True
-        if seen[t]:
-            path = [t]
-            while path[-1] != s:
-                path.append(parent[path[-1]])
-            return g.row_ids(path[::-1])
+        if seen[sink]:
+            path = [sink]
+            while path[-1] != source:
+                path.append(int(parent[path[-1]]))
+            return path[::-1]
         level = np.zeros(n, dtype=bool)
         level[dst] = True
         frontier = np.flatnonzero(level)
@@ -130,11 +127,9 @@ def discover_disjoint_paths(g: TopologyGraph, source: int, sink: int,
     if source == sink:
         raise ValueError("source and sink must differ")
     for nid in (source, sink):
-        if nid not in g or not g.nodes[nid].alive:
+        if not g.alive(nid):
             raise ValueError(f"node {nid} is not an alive node of the topology")
-    removed = {n.id for n in g.nodes.values() if n.is_redundant}
-    removed.discard(source)
-    removed.discard(sink)
+    removed = set(g.spares) - {source, sink}
     routes: list[Route] = []
     direct_used = False
     while len(routes) < max_paths:
@@ -155,7 +150,7 @@ def estimate_path_params(g: TopologyGraph, route: Route, link: LinkParams,
     tau comes from the nominal link parameters (bits/rate + latencies).
     """
     for nid in route.nodes:
-        if nid not in g or not g.nodes[nid].alive:
+        if not g.alive(nid):
             raise ValueError(f"route {route.path_id} references dead node {nid}")
     t_dist = g.distance(route.source, route.sink)
     if t_dist <= 0:
@@ -195,5 +190,5 @@ def replace_failed_node(g: TopologyGraph, failed_id: int, near: int | None = Non
     if spare is None:
         raise UnrecoverableFailureError(
             f"no redundant node available to replace node {failed_id}")
-    g.activate_spare(spare.id)
-    return spare.id
+    g.activate_spare(spare)
+    return spare

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .model import EnergyParams, LinkParams, PathProfile
 from .routing import Route, RoutingTable, build_routing_table
 from .simulation import FaultEvent, FaultScript
-from .topology import Node, TopologyGraph, deploy_field
+from .topology import TopologyGraph, deploy_field
 
 __all__ = [
     "ScenarioError",
@@ -344,30 +344,22 @@ def _synthesize_topology(cfg: ScenarioConfig) -> tuple[TopologyGraph, RoutingTab
     every node hears every other and recovery beacons always find a neighbor.
     """
     t = cfg.t_dist
-    nodes = [
-        Node(id=0, position=(0.0, 0.0), residual_energy=cfg.initial_energy),
-        Node(id=1, position=(t, 0.0), residual_energy=cfg.initial_energy),
-    ]
-    next_id = 2
+    positions = [(0.0, 0.0), (t, 0.0)]
     routes = []
     for j, h in enumerate(cfg.hops):
         ids = [0]
         for i in range(1, h):
-            nodes.append(Node(id=next_id,
-                              position=(t * i / h, 10.0 * (j + 1)),
-                              residual_energy=cfg.initial_energy))
-            ids.append(next_id)
-            next_id += 1
+            ids.append(len(positions))
+            positions.append((t * i / h, 10.0 * (j + 1)))
         ids.append(1)
         routes.append(Route(path_id=j + 1, nodes=tuple(ids),
                             profile=PathProfile(path_id=j + 1, H=h,
                                                 tau=cfg.taus[j], T_dist=t)))
-    for s in range(cfg.redundant):
-        nodes.append(Node(id=next_id, position=(t / 2.0, -10.0 * (s + 1)),
-                          residual_energy=cfg.initial_energy, is_redundant=True))
-        next_id += 1
+    spares = range(len(positions), len(positions) + cfg.redundant)
+    positions += [(t / 2.0, -10.0 * (s + 1)) for s in range(cfg.redundant)]
     span = 10.0 * (len(cfg.hops) + cfg.redundant)
-    g = TopologyGraph(nodes, radio_range=math.hypot(t, span) + 1.0)
+    g = TopologyGraph(positions, math.hypot(t, span) + 1.0, cfg.initial_energy,
+                      spares=spares)
     return g, RoutingTable(source=0, sink=1, routes=tuple(routes))
 
 

@@ -37,8 +37,9 @@ fault scheduled on it. The source and sink, which every path charges, take
 those charges in the order stepping would pop the arrivals. At the window's
 end each in-flight ``PacketArrive`` goes back on the heap and its timer's key
 is taken, in the order stepping would make them, since same-time events of
-different paths pop in push order; stale events, which the handlers would
-ignore, are dropped. The result is bit-identical to stepping.
+different paths pop in push order; stale events (``_stale``), which the
+main loop would drop unhandled, are dropped. The result is bit-identical to
+stepping.
 
 ``SimConfig.trace`` decides only whether lines are written, not how the engine
 runs: a stepped pop writes its event's line, and a window writes the lines of
@@ -193,8 +194,7 @@ class EnergyLedger:
     def ensure(self, node_id: int) -> NodeLedger:
         led = self.nodes.get(node_id)
         if led is None:
-            led = self.nodes[node_id] = NodeLedger(
-                initial=self._g.nodes[node_id].residual_energy)
+            led = self.nodes[node_id] = NodeLedger(initial=self._g.residual(node_id))
         return led
 
     def _path(self, path_id: int) -> _Kahan:
@@ -214,7 +214,7 @@ class EnergyLedger:
 
     def residual(self, node_id: int) -> float:
         led = self.nodes.get(node_id)
-        return led.residual if led else self._g.nodes[node_id].residual_energy
+        return led.residual if led else self._g.residual(node_id)
 
     def settle(self):
         """Write every charged node's residual back to the graph, and let
@@ -424,13 +424,9 @@ class _Engine:
         self.seq += 1
         heapq.heappush(self.heap, (time, ev.seq, ev))
 
-    def _alive(self, node_id: int) -> bool:
-        n = self.g.nodes.get(node_id)
-        return n is not None and n.alive
-
     def _check_death(self, node_id: int, led: NodeLedger):
         # deplete-to-zero kills the node on the spot
-        if led.residual <= 0.0 and self._alive(node_id):
+        if led.residual <= 0.0 and self.g.alive(node_id):
             self.g.fail_node(node_id)
 
     def _data_tx(self, node_id: int, pr: _PathRun, busy: float):
@@ -456,7 +452,7 @@ class _Engine:
         pr.sent += 1
         pr.hop = 0
         # acquisition: the source receives the payload from its sensing stage
-        if self._alive(pr.nodes[0]):
+        if self.g.alive(pr.nodes[0]):
             self._data_rx(pr.nodes[0], pr, busy=0.0)
         self._start_hop(t, pr)
 
@@ -533,7 +529,7 @@ class _Engine:
         self.fabric.add(spare)
         # the detecting node briefs the spare over one control exchange
         self._ctrl_tx(initiator, pr)
-        if self._alive(spare):
+        if self.g.alive(spare):
             self._ctrl_rx(spare)
         self.records.append(FaultRecord(
             time=t, path_id=pr.path_id, case=case, failed_node=failed,
@@ -547,10 +543,8 @@ class _Engine:
     # -- handlers ---------------------------------------------------------
 
     def _on_send(self, ev: SimEvent, pr: _PathRun):
-        if pr.state != _RUNNING or ev.instance != pr.instance:
-            return
         a = ev.node_from
-        if not self._alive(a):
+        if not self.g.alive(a):
             self._arm_timer(pr)
             return  # silent sender; the receiver timer will notice
         self._push(ev.time + pr.profile.tau, EventKind.PACKET_ARRIVE,
@@ -558,10 +552,8 @@ class _Engine:
                    path_id=pr.path_id, instance=ev.instance)
 
     def _on_arrive(self, ev: SimEvent, pr: _PathRun):
-        if pr.state != _RUNNING or ev.instance != pr.instance:
-            return
         a, b = ev.node_from, ev.node_to
-        if not self._alive(a):
+        if not self.g.alive(a):
             self._arm_timer(pr)
             return  # died mid-flight
         tau = pr.profile.tau
@@ -577,7 +569,7 @@ class _Engine:
             return
         # no ack comes back: the sender retries, then checks its radio by beacon
         self._arm_timer(pr)
-        if not self._alive(a):
+        if not self.g.alive(a):
             return  # the transmission spent the sender's last energy
         if pr.attempt < self.config.max_attempts:
             self._retry(ev.time, pr)
@@ -594,10 +586,10 @@ class _Engine:
 
     def _on_beacon_send(self, ev: SimEvent, pr: _PathRun):
         a, c = ev.node_from, ev.node_to
-        if not self._alive(a):
+        if not self.g.alive(a):
             return
         self._ctrl_tx(a, pr)
-        if self._alive(c):
+        if self.g.alive(c):
             self._ctrl_rx(c)
         self._push(ev.time + 2 * self.tau_ctrl, EventKind.BEACON_RESULT,
                    node_from=c, node_to=a, packet_id=ev.packet_id,
@@ -605,10 +597,10 @@ class _Engine:
 
     def _on_beacon_result(self, ev: SimEvent, pr: _PathRun):
         c, a = ev.node_from, ev.node_to
-        if not self._alive(c):
+        if not self.g.alive(c):
             return
         self._ctrl_tx(c, pr)
-        if not self._alive(a):
+        if not self.g.alive(a):
             return  # requester gone; its receiver-side timer path takes over
         self._ctrl_rx(a)
         b = pr.nodes[pr.hop + 1] if pr.hop + 1 < len(pr.nodes) else a
@@ -625,14 +617,14 @@ class _Engine:
         b = ev.node_from
         if pr.state == _RUNNING and ev.instance == pr.instance:
             a = pr.nodes[pr.hop]
-            if self._alive(b):
+            if self.g.alive(b):
                 self._begin_recovery(ev.time, pr, FaultCase.NODE_SILENT,
                                      failed=a, initiator=b)
-            elif not self._alive(a):
+            elif not self.g.alive(a):
                 # nobody is left to detect the fault, so the path fails
                 self._fail_path(ev.time, pr, FaultCase.NODE_SILENT, a, b,
                                 "sender and receiver both failed")
-        elif ev.instance == pr.last_recovery_instance and self._alive(b):
+        elif ev.instance == pr.last_recovery_instance and self.g.alive(b):
             self.records.append(FaultRecord(
                 time=ev.time, path_id=pr.path_id, case=FaultCase.NODE_SILENT,
                 failed_node=pr.nodes[pr.hop] if pr.hop < len(pr.nodes) else b,
@@ -996,7 +988,7 @@ class _Engine:
         report.fabric_nodes = tuple(sorted(self.fabric))
         # fabric radios idle for the round minus their time on air
         for nid in report.fabric_nodes:
-            if self._alive(nid):
+            if self.g.alive(nid):
                 led = self.ledger.ensure(nid)
                 led.idle.add(self.config.idle_power
                              * max(0.0, report.completion_time - led.busy))

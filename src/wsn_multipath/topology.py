@@ -1,65 +1,50 @@
 """Sensor field deployment and radio-range connectivity.
 
-Nodes live on a plane. Two alive nodes are linked when they lie within the
-radio range. The graph finds those pairs once, when it is made: a uniform
-cell grid gives them as an array (``_pairs_within``), and one numpy sort
-turns them into a base adjacency in CSR form. A row is the rank of an alive
-id, row ``r``'s neighbours are rows ``indices[indptr[r]:indptr[r + 1]]`` in
-ascending order, and an object array maps rows back to the nodes' own id
-objects. The base arrays are never written, so every ``copy`` shares them.
+Nodes live on a plane, and a node's id is its index in the positions the
+graph is made from: ids run ``0..len(g) - 1``. Two alive nodes are linked
+when they lie within the radio range. The graph finds those pairs once, when
+it is made: a uniform cell grid gives them as an array (``_pairs_within``),
+and one numpy sort turns them into a base adjacency in CSR form, node ``u``'s
+neighbours being ``indices[indptr[u]:indptr[u + 1]]`` in ascending order. The
+positions and the base arrays are never written, so every ``copy`` shares
+them.
 
 On top of the base, each graph keeps a small dict of Python neighbour lists.
 ``neighbors(u)`` makes u's list from its row on first use; ``fail_node`` and
 ``disable_link`` write replacement lists. A node's list, when it has one, is
 its adjacency; otherwise its row is. ``neighbors``, ``has_edge`` and
-``links_from`` (the route search's gather over many rows at once) all follow
+``links_from`` (the route search's gather over many nodes at once) all follow
 that one rule, so beacons, the transfer engine and route discovery never
 disagree about whether u and v are linked. On a 50,000-node field only the
 few hundred nodes the engine asks about ever get a list.
 
+The graph is the one owner of node state. Every node starts alive with the
+same initial energy. Besides its lists, each graph holds a set of failed ids,
+a set of spares (redundant nodes not yet activated) and the residuals
+``set_residual`` wrote; ``alive``, ``residual``, ``position`` and ``spares``
+read that state. ``copy`` copies the two sets and the two dicts and shares
+the lists, which writes replace and never edit in place, so a write to
+either graph never shows through the other.
+
 ``version`` counts the graph's mutations (failed nodes, disabled links,
-activated spares), starting at 1. Writes replace, they never edit in place:
-``fail_node``, ``activate_spare`` and ``set_residual`` store a new ``Node`` in
-this graph's ``nodes`` dict, and ``fail_node`` and ``disable_link`` store new
-lists in its own list dict. So ``copy`` is two shallow dict copies that share
-every ``Node``, list and base array with the parent, and a write to either
-graph never shows through the other. Writing ``g.nodes[i].<attr>`` directly is
-not supported: it would show through every graph sharing that node.
+activated spares), starting at 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "Node",
     "TopologyGraph",
     "UnrecoverableFailureError",
     "deploy_field",
 ]
 
-ALIVE = "alive"
-FAILED = "failed"
-
 
 class UnrecoverableFailureError(RuntimeError):
     """No redundant node is available to take over for a failed one."""
-
-
-@dataclass
-class Node:
-    id: int
-    position: tuple[float, float]
-    residual_energy: float
-    is_redundant: bool = False
-    status: str = ALIVE
-
-    @property
-    def alive(self) -> bool:
-        return self.status == ALIVE
 
 
 _SPANS_PER_BLOCK = 2048
@@ -116,24 +101,25 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
 
 
 class TopologyGraph:
-    def __init__(self, nodes: list[Node], radio_range: float):
+    def __init__(self, positions, radio_range: float, initial_energy: float,
+                 spares=()):
         if not radio_range > 0:
             raise ValueError(f"radio range must be > 0, got {radio_range}")
-        self.nodes: dict[int, Node] = {}
-        for n in nodes:
-            if n.id in self.nodes:
-                raise ValueError(f"duplicate node id {n.id}")
-            self.nodes[n.id] = n
-        self.radio_range = radio_range
-        self.version = 1
-        ids = sorted(self.alive_ids())
-        n = len(ids)
-        pts = np.array([self.nodes[i].position for i in ids],
-                       dtype=np.float64).reshape(n, 2)
+        pts = np.array(positions, dtype=np.float64).reshape(-1, 2)
+        n = len(pts)
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
-            bad = self.nodes[ids[int(np.argmin(finite))]]
-            raise ValueError(f"node {bad.id} has a non-finite position {bad.position}")
+            bad = int(np.argmin(finite))
+            raise ValueError(f"node {bad} has a non-finite position "
+                             f"{tuple(pts[bad].tolist())}")
+        self.radio_range = radio_range
+        self.version = 1
+        self._pos = pts
+        self._initial_energy = initial_energy
+        self._spares = set(spares)
+        outside = sorted(s for s in self._spares if s not in self)
+        if outside:
+            raise ValueError(f"spare {outside[0]} is not a node id in [0, {n})")
         pairs = _pairs_within(pts, radio_range)
         # each pair in both directions as one key, row * n + column, so one
         # sort groups the pairs by row and orders each row by neighbour.
@@ -145,98 +131,96 @@ class TopologyGraph:
             half += v
         del pairs
         keys.sort()
-        # row r's keys are the ones in [r * n, (r + 1) * n)
+        # row u's keys are the ones in [u * n, (u + 1) * n)
         self._indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self._indices = np.remainder(keys, n, out=keys).astype(np.min_scalar_type(n))
-        # indexing the object array hands out the nodes' own id objects, so
-        # the lists share one int per node instead of one per entry
-        self._ids = np.array(ids, dtype=object)
-        self._row = dict(zip(ids, range(n)))
-        for shared in (self._indptr, self._indices, self._ids):
+        for shared in (self._pos, self._indptr, self._indices):
             shared.flags.writeable = False
+        self._failed: set[int] = set()
+        self._residual: dict[int, float] = {}   # only the residuals written
         # this graph's neighbour lists: made from a row on first use, or
         # written by fail_node / disable_link; they override the base
         self._lists: dict[int, list[int]] = {}
 
     def copy(self) -> TopologyGraph:
-        """An independent graph in this one's state; writes replace, so it
-        shares every node, neighbour list and base array with this one."""
+        """An independent graph in this one's state. Writes replace the
+        neighbour lists they change, so the copy shares those lists and the
+        base arrays with this one."""
         g = TopologyGraph.__new__(TopologyGraph)
         g.__dict__.update(self.__dict__)
-        g.nodes = dict(self.nodes)
+        g._spares = set(self._spares)
+        g._failed = set(self._failed)
+        g._residual = dict(self._residual)
         g._lists = dict(self._lists)
         return g
 
     def _unlink(self, u: int, v: int):
         self._lists[u] = [w for w in self.neighbors(u) if w != v]
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
+    def __len__(self) -> int:
+        return len(self._pos)
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
+    def __contains__(self, node_id) -> bool:
+        return isinstance(node_id, (int, np.integer)) and 0 <= node_id < len(self._pos)
 
-    def alive_ids(self) -> list[int]:
-        return [n.id for n in self.nodes.values() if n.alive]
+    def alive(self, node_id: int) -> bool:
+        return node_id in self and node_id not in self._failed
+
+    def residual(self, node_id: int) -> float:
+        return self._residual.get(node_id, self._initial_energy)
+
+    def position(self, node_id: int) -> tuple[float, float]:
+        return tuple(self._pos[node_id].tolist())
+
+    @property
+    def spares(self) -> frozenset[int]:
+        """The redundant nodes not yet activated, failed or not."""
+        return frozenset(self._spares)
 
     def distance(self, u: int, v: int) -> float:
-        (x1, y1), (x2, y2) = self.nodes[u].position, self.nodes[v].position
+        (x1, y1), (x2, y2) = self.position(u), self.position(v)
         return math.hypot(x1 - x2, y1 - y2)
 
     def neighbors(self, u: int) -> list[int]:
         """Alive neighbors of u in ascending id order (do not modify)."""
         nbrs = self._lists.get(u)
         if nbrs is None:
-            row = self._row.get(u)
-            if row is None:
+            if u not in self:
                 return []
-            nbrs = self._lists[u] = self._ids[
-                self._indices[self._indptr[row]:self._indptr[row + 1]]].tolist()
+            nbrs = self._lists[u] = self._indices[
+                self._indptr[u]:self._indptr[u + 1]].tolist()
         return nbrs
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self._lists.get(u)
         return v in (self.neighbors(u) if nbrs is None else nbrs)
 
-    def rows(self, ids) -> np.ndarray:
-        """The base rows of those of ``ids`` that were alive when the graph
-        was made, in the order given; other ids are left out."""
-        row = self._row
-        return np.fromiter((row[i] for i in ids if i in row), dtype=np.intp)
+    def links_from(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every link out of the nodes ``ids``, as arrays ``(from, to)``.
 
-    def row_ids(self, rows) -> list[int]:
-        """The node ids of base rows."""
-        return self._ids[rows].tolist()
-
-    @property
-    def row_count(self) -> int:
-        return len(self._ids)
-
-    def links_from(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every link out of ``rows``, as arrays ``(from_rows, to_rows)``.
-
-        A row whose node has a neighbour list in this graph reads that list,
-        any other row the base, so this and ``neighbors`` agree on every pair.
+        A node with a neighbour list in this graph reads that list, any other
+        node its base row, so this and ``neighbors`` agree on every pair.
         """
         src, dst = [], []
         if self._lists:
-            listed = np.isin(rows, self.rows(self._lists))
-            for r, u in zip(rows[listed], self.row_ids(rows[listed])):
-                dst.append(self.rows(self._lists[u]))
-                src.append(np.full(len(dst[-1]), r))
-            rows = rows[~listed]
-        starts = self._indptr[rows]
-        counts = self._indptr[rows + 1] - starts
-        # gathered entry k of row i sits at indices[starts[i] + k - first[i]]
+            listed = np.isin(ids, np.fromiter(self._lists, dtype=np.intp,
+                                              count=len(self._lists)))
+            for u in ids[listed].tolist():
+                dst.append(np.array(self._lists[u], dtype=np.intp))
+                src.append(np.full(len(dst[-1]), u))
+            ids = ids[~listed]
+        starts = self._indptr[ids]
+        counts = self._indptr[ids + 1] - starts
+        # gathered entry k of node i sits at indices[starts[i] + k - first[i]]
         first = np.cumsum(counts) - counts
-        src.append(np.repeat(rows, counts))
+        src.append(np.repeat(ids, counts))
         dst.append(self._indices[np.arange(counts.sum())
                                  + np.repeat(starts - first, counts)])
         return np.concatenate(src), np.concatenate(dst)
 
     def fail_node(self, node_id: int):
-        if self.nodes[node_id].alive:
-            self.nodes[node_id] = replace(self.nodes[node_id], status=FAILED)
+        if self.alive(node_id):
+            self._failed.add(node_id)
             for v in self.neighbors(node_id):
                 self._unlink(v, node_id)
             self._lists[node_id] = []
@@ -250,25 +234,22 @@ class TopologyGraph:
 
     def activate_spare(self, node_id: int):
         """Turn a redundant node into a regular route participant."""
-        self.nodes[node_id] = replace(self.nodes[node_id], is_redundant=False)
+        self._spares.discard(node_id)
         self.version += 1
 
     def set_residual(self, node_id: int, joules: float):
         """Store a node's residual energy; the topology is unchanged."""
-        self.nodes[node_id] = replace(self.nodes[node_id], residual_energy=joules)
+        self._residual[node_id] = joules
 
-    def nearest_redundant(self, near: int, exclude: frozenset[int] = frozenset()) -> Node | None:
-        """Closest alive redundant node to ``near``; lowest id wins ties."""
-        ref = self.nodes[near].position
-        best = None
-        for n in self.nodes.values():
-            if not (n.alive and n.is_redundant) or n.id in exclude:
-                continue
-            d = math.hypot(n.position[0] - ref[0], n.position[1] - ref[1])
-            key = (d, n.id)
-            if best is None or key < best[0]:
-                best = (key, n)
-        return best[1] if best else None
+    def nearest_redundant(self, near: int, exclude: frozenset[int] = frozenset()) -> int | None:
+        """The alive spare closest to ``near`` that is not in ``exclude``;
+        lowest id wins ties. None when there is none."""
+        candidates = list(self._spares - exclude - self._failed)
+        if not candidates:
+            return None
+        x, y = self.position(near)
+        return min((math.hypot(sx - x, sy - y), s)
+                   for s, (sx, sy) in zip(candidates, self._pos[candidates].tolist()))[1]
 
 
 def deploy_field(area: tuple[float, float], node_count: int, seed: int,
@@ -288,10 +269,6 @@ def deploy_field(area: tuple[float, float], node_count: int, seed: int,
     xs = rng.uniform(0.0, w, node_count)
     ys = rng.uniform(0.0, h, node_count)
     n_spare = int(node_count * redundant_fraction)
-    spares = set(rng.choice(node_count, size=n_spare, replace=False).tolist()) if n_spare else set()
-    nodes = [
-        Node(id=i, position=(x, y), residual_energy=initial_energy,
-             is_redundant=i in spares)
-        for i, x, y in zip(range(node_count), xs.tolist(), ys.tolist())
-    ]
-    return TopologyGraph(nodes, radio_range=radio_range)
+    spares = rng.choice(node_count, size=n_spare, replace=False).tolist() if n_spare else ()
+    return TopologyGraph(np.column_stack((xs, ys)), radio_range, initial_energy,
+                         spares=spares)

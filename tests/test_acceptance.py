@@ -308,8 +308,8 @@ def test_criterion_8_route_disjointness_and_count_bound():
                 assert 0 not in inner and 1 not in inner
             if n <= 12 and routes:
                 G = nx.Graph()
-                G.add_nodes_from(g.alive_ids())
-                for u in g.alive_ids():
+                G.add_nodes_from(range(len(g)))
+                for u in range(len(g)):
                     G.add_edges_from((u, w) for w in g.neighbors(u))
                 assert len(routes) <= local_node_connectivity(G, 0, 1), i
                 small_checked += 1
@@ -328,7 +328,7 @@ def test_criterion_9_energy_conservation_and_allocation_totals(bench_cfg):
                            config=SimConfig(idle_power=bench_cfg.idle_power))
         nodes_checked = 0
         for nid, led in rep.ledger.nodes.items():
-            assert g.node(nid).residual_energy == led.initial - led.consumed
+            assert g.residual(nid) == led.initial - led.consumed
             nodes_checked += 1
         assert nodes_checked > 0
 
@@ -342,7 +342,7 @@ def test_criterion_9_energy_conservation_and_allocation_totals(bench_cfg):
                                 time=0.05, kind="node_fail", target=3)]),
                             config=SimConfig(idle_power=409.6e-6))
         for nid, led in frep.ledger.nodes.items():
-            assert fg.node(nid).residual_energy == led.initial - led.consumed
+            assert fg.residual(nid) == led.initial - led.consumed
             nodes_checked += 1
 
         # every produced distribution carries exactly D packets

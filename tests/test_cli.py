@@ -66,6 +66,15 @@ class TestRun:
         lines = (tmp_path / "distribution.csv").read_text().splitlines()
         assert lines[1] == "1,9,0,40,41"
 
+    def test_negative_packet_override_rejected(self, bench_path, tmp_path, capsys):
+        code = main(["run", bench_path, "--out", str(tmp_path / "out"),
+                     "--packets", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == "error: --packets must be >= 0\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_ordering_failure_exits_three(self, tmp_path, capsys):
         scn = tmp_path / "no_overheads.scenario"
         scn.write_text(NO_OVERHEADS)

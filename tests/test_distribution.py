@@ -149,6 +149,14 @@ class TestNormalize:
         assert dist.infeasible
         assert sum(dist.as_list()) == 100
 
+    def test_rounding_shortfall_is_not_infeasible(self):
+        # two identical 4-hop paths at D=100: each root is 50 less an ulp
+        raw = [(1, 49.99999999999999), (2, 49.99999999999999)]
+        dist = normalize_distribution(raw, 100)
+        assert dist.as_list() == [50, 50]
+        assert not dist.infeasible
+        assert normalize_distribution([(1, 50.0), (2, 49.99)], 100).infeasible
+
     def test_no_capacity(self):
         with pytest.raises(NoCapacityError):
             normalize_distribution([(1, 0.0), (2, 0.0)], 5)
@@ -171,6 +179,13 @@ class TestAllocate:
         dist = allocate(Scheme.ADAPTIVE, bench_ep, bench_paths, 100)
         assert dist.as_list() == [20, 8, 37, 9, 26]
         assert not dist.infeasible
+
+    def test_adaptive_on_identical_paths_is_feasible(self, bench_ep):
+        paths = [PathProfile(path_id=i, H=4, tau=0.02, T_dist=100.0) for i in (1, 2)]
+        dist = allocate(Scheme.ADAPTIVE, bench_ep, paths, 100)
+        assert dist.as_list() == [50, 50]
+        report = verify_edp_bound(bench_ep, paths, dist)
+        assert report.passed and not report.infeasible and not report.warnings
 
     def test_adaptive_d200(self, bench_ep, bench_paths):
         dist = allocate(Scheme.ADAPTIVE, bench_ep, bench_paths, 200)

@@ -84,9 +84,8 @@ def assert_same_run(slow, g_slow, fast, g_fast):
             assert math.isclose(getattr(got, part).value, getattr(want, part).value,
                                 rel_tol=REL, abs_tol=0.0), (nid, part)
         assert math.isclose(got.busy, want.busy, rel_tol=REL, abs_tol=0.0), nid
-        assert g_fast.nodes[nid].alive == g_slow.nodes[nid].alive, nid
-        assert math.isclose(g_fast.nodes[nid].residual_energy,
-                            g_slow.nodes[nid].residual_energy,
+        assert g_fast.alive(nid) == g_slow.alive(nid), nid
+        assert math.isclose(g_fast.residual(nid), g_slow.residual(nid),
                             rel_tol=REL, abs_tol=0.0), nid
 
 
@@ -157,7 +156,7 @@ class TestDepletion:
             g.set_residual(33, 0.02)   # about four packets' worth
 
         runs = _runs(cfg, _scheme(Scheme.ADAPTIVE, cfg), tweak=drain)
-        assert not runs[0][1].nodes[33].alive
+        assert not runs[0][1].alive(33)
         assert_equivalent(runs)
 
     @pytest.mark.parametrize("spares, victim, failed, note", [

@@ -194,10 +194,10 @@ def transfer_state(rep):
 
 
 def graph_state(g):
+    ids = range(len(g))
     return (g.version,
-            {i: (n.residual_energy, n.status, n.is_redundant)
-             for i, n in g.nodes.items()},
-            {i: list(g.neighbors(i)) for i in g.nodes})
+            {i: (g.residual(i), g.alive(i), i in g.spares) for i in ids},
+            {i: list(g.neighbors(i)) for i in ids})
 
 
 class TestSchemeIsolation:

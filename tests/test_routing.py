@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from wsn_multipath import (
     LinkParams,
-    Node,
     Route,
     TopologyGraph,
     UnrecoverableFailureError,
@@ -23,15 +22,14 @@ from wsn_multipath.routing import _shortest_hops
 
 
 def graph_from(points, radio, spares=()):
-    nodes = [Node(id=i, position=(float(x), float(y)), residual_energy=100.0,
-                  is_redundant=i in spares)
-             for i, (x, y) in points.items()]
-    return TopologyGraph(nodes, radio_range=radio)
+    # node i at points[i]
+    return TopologyGraph([(float(x), float(y)) for x, y in points], radio, 100.0,
+                         spares=spares)
 
 
 def diamond():
     # two 2-hop routes between 0 and 3, one through 1, one through 2
-    return graph_from({0: (0, 0), 1: (1, 1), 2: (1, -1), 3: (2, 0)}, radio=1.6)
+    return graph_from([(0, 0), (1, 1), (1, -1), (2, 0)], radio=1.6)
 
 
 class TestDiscovery:
@@ -41,13 +39,13 @@ class TestDiscovery:
         assert [r.path_id for r in routes] == [1, 2]
 
     def test_lowest_id_tiebreak(self):
-        g = graph_from({0: (0, 0), 5: (1, 1), 4: (1, -1), 9: (2, 0)}, radio=1.6)
-        routes = discover_disjoint_paths(g, 0, 9)
-        # both interiors give 2 hops; id 4 must come out first
-        assert routes[0].nodes == (0, 4, 9)
+        g = graph_from([(0, 0), (2, 0), (1, 1), (1, -1)], radio=1.6)
+        routes = discover_disjoint_paths(g, 0, 1)
+        # both interiors give 2 hops; id 2 must come out first
+        assert routes[0].nodes == (0, 2, 1)
 
     def test_direct_edge_used_once(self):
-        g = graph_from({0: (0, 0), 1: (0.5, 0.8), 2: (1, 0)}, radio=1.1)
+        g = graph_from([(0, 0), (0.5, 0.8), (1, 0)], radio=1.1)
         routes = discover_disjoint_paths(g, 0, 2)
         assert routes[0].nodes == (0, 2)
         assert routes[1].nodes == (0, 1, 2)
@@ -70,8 +68,7 @@ class TestDiscovery:
             seen.update(r.interior)
 
     def test_redundant_nodes_held_back(self):
-        g = graph_from({0: (0, 0), 1: (1, 1), 2: (1, -1), 3: (2, 0)},
-                       radio=1.6, spares={1})
+        g = graph_from([(0, 0), (1, 1), (1, -1), (2, 0)], radio=1.6, spares={1})
         routes = discover_disjoint_paths(g, 0, 3)
         assert [r.nodes for r in routes] == [(0, 2, 3)]
 
@@ -135,7 +132,7 @@ class TestShortestHopsOracle:
            st.data(), st.booleans())
     def test_lattice_fields(self, points, radio, data, skip_direct):
         # integer points give many equal-hop alternatives to break by id
-        g = graph_from(dict(enumerate(points)), radio)
+        g = graph_from(points, radio)
         ids = st.integers(0, len(points) - 1)
         source, sink = data.draw(ids), data.draw(ids)
         removed = data.draw(st.sets(ids))
@@ -158,7 +155,7 @@ class TestShortestHopsOracle:
     def test_mutated_graphs(self, points, radio, data, skip_direct):
         # failures and link cuts write lists that override the base rows, on
         # the graph and on a copy; lookups make lists equal to their rows
-        g = graph_from(dict(enumerate(points)), radio)
+        g = graph_from(points, radio)
         ids = st.integers(0, len(points) - 1)
         edits = data.draw(st.lists(st.one_of(
             st.tuples(st.just("fail_node"), ids),
@@ -176,16 +173,15 @@ class TestShortestHopsOracle:
             assert_matches_heap_search(h, source, sink, removed, skip_direct)
 
     def test_direct_edge(self):
-        # source 0 and sink 5 are in range of each other, and each of 2 and
-        # 3 links them in two hops; 2 and 3 are out of range of each other
-        g = graph_from({0: (0, 0), 5: (1, 0), 3: (0.5, 0.8), 2: (0.5, -0.8)},
-                       radio=1.2)
-        assert g.has_edge(0, 5)
-        cases = [(set(), False, [0, 5]), ({2, 3}, False, [0, 5]),
-                 (set(), True, [0, 2, 5]), ({2}, True, [0, 3, 5]),
-                 ({2, 3}, True, None), ({5}, True, [0, 2, 5])]
+        # source 0 and sink 3 are in range of each other, and each of 1 and
+        # 2 links them in two hops; 1 and 2 are out of range of each other
+        g = graph_from([(0, 0), (0.5, -0.8), (0.5, 0.8), (1, 0)], radio=1.2)
+        assert g.has_edge(0, 3)
+        cases = [(set(), False, [0, 3]), ({1, 2}, False, [0, 3]),
+                 (set(), True, [0, 1, 3]), ({1}, True, [0, 2, 3]),
+                 ({1, 2}, True, None), ({3}, True, [0, 1, 3])]
         for removed, skip_direct, want in cases:
-            assert assert_matches_heap_search(g, 0, 5, removed, skip_direct) == want
+            assert assert_matches_heap_search(g, 0, 3, removed, skip_direct) == want
 
 
 class TestAgainstFlowOracle:
@@ -195,8 +191,8 @@ class TestAgainstFlowOracle:
             g = deploy_field((30.0, 30.0), 11, seed=seed, radio_range=12.0,
                              redundant_fraction=0.0)
             G = nx.Graph()
-            G.add_nodes_from(g.nodes)
-            for u in g.nodes:
+            G.add_nodes_from(range(len(g)))
+            for u in range(len(g)):
                 for v in g.neighbors(u):
                     G.add_edge(u, v)
             s, t = 0, 10
@@ -269,7 +265,7 @@ class TestLargeField:
 
 class TestEstimate:
     def test_analytic_kilobit(self):
-        g = graph_from({0: (0, 0), 1: (50, 0), 2: (100, 0)}, radio=60.0)
+        g = graph_from([(0, 0), (50, 0), (100, 0)], radio=60.0)
         r = Route(path_id=1, nodes=(0, 1, 2))
         prof = estimate_path_params(g, r, LinkParams(b=50000.0))
         assert prof.tau == 0.02
@@ -277,7 +273,7 @@ class TestEstimate:
         assert prof.T_dist == 100.0
 
     def test_dead_node_raises(self):
-        g = graph_from({0: (0, 0), 1: (50, 0), 2: (100, 0)}, radio=60.0)
+        g = graph_from([(0, 0), (50, 0), (100, 0)], radio=60.0)
         g.fail_node(1)
         r = Route(path_id=1, nodes=(0, 1, 2))
         with pytest.raises(ValueError, match="dead node 1"):
@@ -297,7 +293,7 @@ class TestRoutingTable:
             build_routing_table(diamond(), 0, 0, LinkParams(b=50000.0))
 
     def test_unreachable_sink_no_routes(self):
-        g = graph_from({0: (0, 0), 1: (1, 0), 2: (50, 50)}, radio=1.5)
+        g = graph_from([(0, 0), (1, 0), (50, 50)], radio=1.5)
         table = build_routing_table(g, 0, 2, LinkParams(b=50000.0))
         assert table.routes == ()
         assert table.format_routes() == ""
@@ -311,35 +307,34 @@ class TestRoutingTable:
 
 class TestReplacement:
     def replacement_setup(self):
-        return graph_from({0: (0, 0), 1: (1, 1), 2: (1, -1), 3: (2, 0),
-                           8: (1.2, 1.2), 9: (4, 4)},
-                          radio=1.8, spares={8, 9})
+        return graph_from([(0, 0), (1, 1), (1, -1), (2, 0), (1.2, 1.2), (4, 4)],
+                          radio=1.8, spares={4, 5})
 
     def test_nearest_spare_takes_slot(self):
         g = self.replacement_setup()
         g.fail_node(1)
         spare = replace_failed_node(g, 1)
-        assert spare == 8
-        assert not g.nodes[8].is_redundant
+        assert spare == 4
+        assert g.spares == {5}
 
     def test_near_reference_changes_choice(self):
         g = self.replacement_setup()
         spare = replace_failed_node(g, 1, near=3)
-        # node 9 is closer to nothing useful; 8 still wins from node 3
-        assert spare == 8
+        # node 5 is closer to nothing useful; 4 still wins from node 3
+        assert spare == 4
 
     def test_exhausted_pool_raises(self):
         g = self.replacement_setup()
-        g.fail_node(8)
-        g.fail_node(9)
+        g.fail_node(4)
+        g.fail_node(5)
         with pytest.raises(UnrecoverableFailureError):
             replace_failed_node(g, 1)
 
     def test_on_route_nodes_not_borrowed(self):
         g = self.replacement_setup()
         # a still-redundant node the caller's routes use is skipped
-        assert replace_failed_node(g.copy(), 1, exclude=frozenset({8})) == 9
-        # spare 8 already promoted onto a route: only 9 remains
+        assert replace_failed_node(g.copy(), 1, exclude=frozenset({4})) == 5
+        # spare 4 already promoted onto a route: only 5 remains
         replace_failed_node(g, 1)
         spare = replace_failed_node(g, 2)
-        assert spare == 9
+        assert spare == 5

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -9,7 +10,6 @@ from wsn_multipath import (
     FaultEvent,
     FaultScript,
     LinkParams,
-    Node,
     PathProfile,
     Route,
     RoutingTable,
@@ -20,6 +20,7 @@ from wsn_multipath import (
     build_network,
     parse_scenario,
     path_energy,
+    run_comparison,
     run_transfer,
 )
 from wsn_multipath.simulation import EventKind, _Engine
@@ -117,6 +118,19 @@ class TestCaseOneRecovery:
         assert fr.failed_node == 3
         assert fr.initiator == 4  # downstream neighbor's timer
         assert fr.replacement == 6  # the scenario's one spare
+
+    def test_a_spare_on_a_route_is_not_borrowed(self):
+        # spare 6 stands in node 2's slot; recovery excludes its routes' nodes,
+        # so node 3's slot goes to spare 7, though 6 is nearer the initiator
+        cfg, g, table, dist = single_path_net(spares=2)
+        (route,) = table.routes
+        table = RoutingTable(0, 1, (Route(1, (0, 6, 3, 4, 5, 1), route.profile),))
+        faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
+        rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults)
+        assert g.distance(4, 6) < g.distance(4, 7)
+        driving = [fr for fr in rep.fault_records if fr.drove_recovery]
+        assert [(fr.failed_node, fr.initiator, fr.replacement) for fr in driving] == [(3, 4, 7)]
+        assert rep.total_delivered == 1
 
     def test_timer_fires_exactly_m_tau_after_expected_arrival(self):
         rep = self.run()
@@ -287,12 +301,7 @@ class TestClassifyFault:
     def test_isolated_sender_falls_back_to_case_one(self):
         # the sender's only neighbour is the receiver, so once their link
         # breaks it has nobody to verify its radio with and takes the blame
-        nodes = [Node(id=0, position=(0, 0), residual_energy=10.0),
-                 Node(id=2, position=(1, 0), residual_energy=10.0),
-                 Node(id=1, position=(2, 0), residual_energy=10.0),
-                 Node(id=3, position=(1.5, -1), residual_energy=10.0,
-                      is_redundant=True)]
-        g = TopologyGraph(nodes, radio_range=1.5)
+        g = TopologyGraph([(0, 0), (2, 0), (1, 0), (1.5, -1)], 1.5, 10.0, spares=(3,))
         profile = PathProfile(path_id=1, H=2, tau=TAU, T_dist=2.0)
         table = RoutingTable(source=0, sink=1, routes=(Route(1, (0, 2, 1), profile),))
         dist = Distribution(scheme=Scheme.SINGLE_PATH, allocations=((1, 1),), total=1)
@@ -332,19 +341,19 @@ class TestAccounting:
 
     def test_residual_write_back_consistent(self):
         cfg, g, table, dist = single_path_net(packets=5)
-        initial = {n.id: n.residual_energy for n in g.nodes.values()}
+        initial = {i: g.residual(i) for i in range(len(g))}
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
                            config=SimConfig(idle_power=409.6e-6))
         for nid, led in rep.ledger.nodes.items():
             assert led.initial == initial[nid]
             # the write-back stores exactly initial minus the ledger sum
-            assert g.nodes[nid].residual_energy == led.initial - led.consumed
+            assert g.residual(nid) == led.initial - led.consumed
 
     def test_depleted_node_dies_mid_run(self):
         cfg, g, table, dist = single_path_net(packets=3, spares=1)
         g.set_residual(3, 0.005)  # about one packet's worth
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link)
-        assert not g.nodes[3].alive
+        assert not g.alive(3)
         # the transfer still completes through the spare
         assert rep.total_delivered == 3
 
@@ -380,7 +389,7 @@ class TestLazyLedgers:
                            target=r.interior[len(r.interior) // 2])
                 for when, r in zip((0.05, 0.10, 0.15), routes)])
             dist = allocate(scheme, cfg.ep, [r.profile for r in routes], cfg.packets)
-            initial = {n.id: n.residual_energy for n in g.nodes.values()}
+            initial = {i: g.residual(i) for i in range(len(g))}
             rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
                                config=SimConfig(idle_power=cfg.idle_power, trace=trace))
             runs.append((g, initial, discovered, rep))
@@ -394,9 +403,39 @@ class TestLazyLedgers:
             briefed = {fr.replacement for fr in rep.fault_records
                        if fr.replacement is not None}
             assert set(rep.ledger.nodes) <= route_nodes | briefed | beacons
-            for nid, n in g.nodes.items():
+            for nid in range(len(g)):
                 if nid not in rep.ledger.nodes:
-                    assert n.residual_energy == initial[nid]
+                    assert g.residual(nid) == initial[nid]
                 else:
-                    assert n.residual_energy == rep.ledger.nodes[nid].residual
+                    assert g.residual(nid) == rep.ledger.nodes[nid].residual
         assert runs[0][3].ledger.nodes.keys() == runs[1][3].ledger.nodes.keys()
+
+
+# one node_fail on the middle interior node of routes 1-3, as the benchmark's
+# field_faults workload places them
+FIELD_FAULTS_PINNED = FIELD_FAULTS + """
+fault node_fail 0.05 34
+fault node_fail 0.10 59
+fault node_fail 0.15 149
+"""
+
+
+class TestRandomFieldRecovery:
+    """Which spare a random field picks, pinned byte for byte per scheme."""
+
+    PINNED = {
+        Scheme.SINGLE_PATH: (
+            5, "da0fc366c2fa60bc2b0a4bf32a26e2730fb126ec54298d97f301f0d17f688d3b"),
+        Scheme.EQUAL_SPLIT: (
+            153, "ce9c810ad3fe096485ebaaa352640f7ea3b5c6b34a0d1ba456737e0e7948ba4b"),
+        Scheme.ADAPTIVE: (
+            153, "ce9c810ad3fe096485ebaaa352640f7ea3b5c6b34a0d1ba456737e0e7948ba4b"),
+    }
+
+    def test_reports_are_pinned(self):
+        rep = run_comparison(parse_scenario(FIELD_FAULTS_PINNED))
+        got = {r.scheme: (len(r.transfer.fault_records),
+                          hashlib.sha256(r.transfer.to_text().encode()).hexdigest())
+               for r in rep.runs}
+        assert got == self.PINNED
+        assert sum(records for records, _ in got.values()) == 311
