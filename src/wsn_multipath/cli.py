@@ -61,18 +61,15 @@ def _cmd_run(args) -> int:
     for r in rep.runs:
         print(f"{r.label}: delay={r.overall_delay:.10g} s, "
               f"energy={r.total_energy:.10g} J")
-    failed = False
     for name, verdict in (("delay ordering", rep.delay_ordering_ok),
                           ("energy ordering", rep.energy_ordering_ok),
                           ("energy closeness", rep.closeness_ok)):
-        if verdict is None:
-            continue
-        print(f"{name}: {'PASS' if verdict else 'FAIL'}")
-        failed = failed or not verdict
+        if verdict is not None:
+            print(f"{name}: {'PASS' if verdict else 'FAIL'}")
     for w in rep.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {', '.join(files)}")
-    return EXIT_ORDERING if failed else EXIT_OK
+    return EXIT_OK if rep.all_ok else EXIT_ORDERING
 
 
 def _cmd_validate(args) -> int:

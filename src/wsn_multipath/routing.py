@@ -174,7 +174,7 @@ def build_routing_table(g: TopologyGraph, source: int, sink: int,
 
 
 def replace_failed_node(g: TopologyGraph, failed_id: int, near: int | None = None,
-                        exclude: frozenset[int] = frozenset()) -> int:
+                        exclude: set[int] | frozenset[int] = frozenset()) -> int:
     """Activate the nearest alive redundant node to take a failed node's slot.
 
     ``near`` picks the reference point for "nearest" (defaults to the failed

@@ -3,8 +3,16 @@
 A scenario names the topology (either explicit per-path hop counts or a
 random field to run discovery on), the radio constants, the demand and the
 schemes to compare. Lines are ``key value [value ...]``; ``#`` starts a
-comment; ``fault`` lines may repeat. Parse and validation errors carry the
-offending line number and field name.
+comment; ``fault`` lines may repeat.
+
+``_KEYS`` holds one row per key: the field it fills, its type, how many
+values it takes and its bound. ``energy.*`` keys fill ``EnergyParams``,
+``link.*`` keys fill ``LinkParams`` and the rest fill ``ScenarioConfig``; a
+key the file omits keeps its record's default. Checks that span keys (tau
+count against hops, source and sink against the field, fault ids against the
+layout) run once the records are built, and ``FaultEvent`` checks each fault
+line's kind, arity and time. Parse and validation errors carry the offending
+line number and field name.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ from __future__ import annotations
 import importlib.resources
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
-from .model import EnergyParams, LinkParams, PathProfile
+from .model import EnergyParams, LinkParams, PathProfile, per_hop_delay
 from .routing import Route, RoutingTable, build_routing_table
 from .simulation import FaultEvent, FaultScript
 from .topology import TopologyGraph, deploy_field
@@ -74,53 +83,59 @@ class ScenarioConfig:
     faults: FaultScript = field(default_factory=FaultScript)
 
 
-# key -> (min values, max values or None for variable)
-_KNOWN = {
-    "paths.hops": (1, None),
-    "paths.tau": (1, None),
-    "paths.distance": (1, 1),
-    "paths.redundant": (1, 1),
-    "field.area": (2, 2),
-    "field.nodes": (1, 1),
-    "field.radio_range": (1, 1),
-    "field.seed": (1, 1),
-    "field.source": (1, 1),
-    "field.sink": (1, 1),
-    "field.max_paths": (1, 1),
-    "field.redundant_fraction": (1, 1),
-    "packets": (1, 1),
-    "schemes": (1, 3),
-    "link.bit_rate": (1, 1),
-    "link.delay": (1, 1),
-    "link.queue_delay": (1, 1),
-    "energy.e_t": (1, 1),
-    "energy.e_d": (1, 1),
-    "energy.e_r": (1, 1),
-    "energy.path_loss_k": (1, 1),
-    "energy.t_1b": (1, 1),
-    "energy.t_2b": (1, 1),
-    "energy.k_r": (1, 1),
-    "energy.packet_bits": (1, 1),
-    "sim.max_attempts": (1, 1),
-    "sim.control_bits": (1, 1),
-    "sim.idle_power": (1, 1),
-    "sim.initial_energy": (1, 1),
-    "comparison.background_nodes": (1, 1),
-    "output.dir": (1, 1),
-}
+class _Key(NamedTuple):
+    field: str                # attribute path from ScenarioConfig: "ep.e_t" is EnergyParams.e_t
+    type: type
+    least: int                # fewest values the key takes
+    most: int | None          # most values it takes; None for any number
+    bound: Callable[[Any], bool] | None = None  # applied to the stored value
+    message: str = ""         # the error when the bound fails
 
 
-# EnergyParams field -> (scenario key, default or None when required)
-_ENERGY_FIELDS = {
-    "e_t": ("energy.e_t", None),
-    "e_d": ("energy.e_d", 0.0),
-    "e_r": ("energy.e_r", None),
-    "k": ("energy.path_loss_k", 2.0),
-    "T_1b": ("energy.t_1b", 2e-5),
-    "T_2b": ("energy.t_2b", 2e-5),
-    "K_r": ("energy.k_r", None),
-    "S": ("energy.packet_bits", 1000.0),
+_KEYS = {
+    "paths.hops": _Key("hops", int, 1, None, lambda v: min(v) >= 1, "hop counts must be >= 1"),
+    "paths.tau": _Key("taus", float, 1, None, lambda v: min(v) > 0, "tau values must be > 0"),
+    "paths.distance": _Key("t_dist", float, 1, 1, lambda v: v > 0, "path distance must be > 0"),
+    "paths.redundant": _Key("redundant", int, 1, 1, lambda v: v >= 0,
+                            "redundant count must be >= 0"),
+    "field.area": _Key("area", float, 2, 2, lambda v: min(v) > 0, "area dimensions must be > 0"),
+    "field.nodes": _Key("field_nodes", int, 1, 1, lambda v: v >= 2, "field needs at least 2 nodes"),
+    "field.radio_range": _Key("radio_range", float, 1, 1, lambda v: v > 0,
+                              "radio range must be > 0"),
+    "field.seed": _Key("field_seed", int, 1, 1, lambda v: v >= 0, "field seed must be >= 0"),
+    "field.source": _Key("source", int, 1, 1),
+    "field.sink": _Key("sink", int, 1, 1),
+    "field.max_paths": _Key("max_paths", int, 1, 1, lambda v: v >= 1, "max paths must be >= 1"),
+    "field.redundant_fraction": _Key("redundant_fraction", float, 1, 1, lambda v: 0.0 <= v <= 1.0,
+                                     "redundant fraction must be in [0, 1]"),
+    "packets": _Key("packets", int, 1, 1, lambda v: v >= 0, "packet demand must be >= 0"),
+    "schemes": _Key("schemes", int, 1, 3, lambda v: len(set(v)) == len(v) and set(v) <= {1, 2, 3},
+                    "schemes must be distinct values from 1, 2, 3"),
+    "link.bit_rate": _Key("link.b", float, 1, 1, lambda v: v > 0, "link bit rate must be > 0"),
+    "link.delay": _Key("link.l", float, 1, 1, lambda v: v >= 0, "link delay must be >= 0"),
+    "link.queue_delay": _Key("link.q", float, 1, 1, lambda v: v >= 0, "queue delay must be >= 0"),
+    "energy.e_t": _Key("ep.e_t", float, 1, 1, lambda v: v >= 0, "energy.e_t must be >= 0"),
+    "energy.e_d": _Key("ep.e_d", float, 1, 1, lambda v: v >= 0, "energy.e_d must be >= 0"),
+    "energy.e_r": _Key("ep.e_r", float, 1, 1, lambda v: v >= 0, "energy.e_r must be >= 0"),
+    "energy.path_loss_k": _Key("ep.k", float, 1, 1, lambda v: v >= 0,
+                               "energy.path_loss_k must be >= 0"),
+    "energy.t_1b": _Key("ep.T_1b", float, 1, 1, lambda v: v >= 0, "energy.t_1b must be >= 0"),
+    "energy.t_2b": _Key("ep.T_2b", float, 1, 1, lambda v: v >= 0, "energy.t_2b must be >= 0"),
+    "energy.k_r": _Key("ep.K_r", float, 1, 1, lambda v: v >= 0, "energy.k_r must be >= 0"),
+    "energy.packet_bits": _Key("ep.S", float, 1, 1, lambda v: v > 0, "packet size must be > 0"),
+    "sim.max_attempts": _Key("max_attempts", int, 1, 1, lambda v: v >= 1,
+                             "max attempts must be >= 1"),
+    "sim.control_bits": _Key("control_bits", float, 1, 1, lambda v: v >= 0,
+                             "control bits must be >= 0"),
+    "sim.idle_power": _Key("idle_power", float, 1, 1, lambda v: v >= 0, "idle power must be >= 0"),
+    "sim.initial_energy": _Key("initial_energy", float, 1, 1, lambda v: v > 0,
+                               "initial energy must be > 0"),
+    "comparison.background_nodes": _Key("background_nodes", int, 1, 1, lambda v: v >= 0,
+                                        "background node count must be >= 0"),
+    "output.dir": _Key("out_dir", str, 1, 1),
 }
+
+_REQUIRED = ("packets", "link.bit_rate", "energy.e_t", "energy.e_r", "energy.k_r")
 
 
 def _tokenize(text: str):
@@ -140,11 +155,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if key == "fault":
             faults.append((lineno, values))
             continue
-        if key not in _KNOWN:
+        if key not in _KEYS:
             raise ScenarioError(f"unknown field {key!r}", field_name=key, line=lineno)
         if key in raw:
             raise ScenarioError(f"duplicate field {key!r}", field_name=key, line=lineno)
-        lo, hi = _KNOWN[key]
+        lo, hi = _KEYS[key].least, _KEYS[key].most
         if len(values) < lo or (hi is not None and len(values) > hi):
             raise ScenarioError(
                 f"field {key!r} expects {lo if hi == lo else f'{lo}..{hi or chr(8734)}'} "
@@ -154,173 +169,97 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return _validate(raw, lines, faults)
 
 
-def _conv(raw, lines, key, cast, default=None, required=False):
-    if key not in raw:
-        if required:
-            raise ScenarioError(f"missing required field {key!r}", field_name=key)
-        return default
+def _check(key: str, value, line: int | None):
+    """``value`` if it is within ``key``'s bound, else a ScenarioError."""
+    row = _KEYS[key]
+    if row.bound is not None and not row.bound(value):
+        raise ScenarioError(row.message, key, line)
+    return value
+
+
+def _value(key: str, values: list[str], line: int):
+    """The value one key's line stores: one value bare, a fixed count of
+    values as a tuple, any number as a list."""
+    row = _KEYS[key]
     try:
-        vals = [cast(v) for v in raw[key]]
+        vals = [row.type(v) for v in values]
     except ValueError:
-        raise ScenarioError(f"cannot parse value(s) {' '.join(raw[key])!r}",
-                            field_name=key, line=lines[key]) from None
-    if cast is float and not all(map(math.isfinite, vals)):
-        raise ScenarioError(f"value(s) {' '.join(raw[key])!r} must be finite",
-                            field_name=key, line=lines[key])
-    return vals
-
-
-def _one(raw, lines, key, cast, default=None, required=False):
-    vals = _conv(raw, lines, key, cast, None, required)
-    return default if vals is None else vals[0]
+        raise ScenarioError(f"cannot parse value(s) {' '.join(values)!r}",
+                            field_name=key, line=line) from None
+    if row.type is float and not all(map(math.isfinite, vals)):
+        raise ScenarioError(f"value(s) {' '.join(values)!r} must be finite",
+                            field_name=key, line=line)
+    return _check(key, vals[0] if row.most == 1 else tuple(vals) if row.most == row.least
+                  else vals, line)
 
 
 def _validate(raw, lines, fault_lines) -> ScenarioConfig:
-    packets = _one(raw, lines, "packets", int, required=True)
-    if packets < 0:
-        raise ScenarioError("packet demand must be >= 0", "packets", lines["packets"])
-
     explicit = "paths.hops" in raw
     field_mode = "field.nodes" in raw
+    mode, other = ("explicit", "field.") if explicit else ("field", "paths.")
+    if explicit != field_mode:
+        for key in raw:
+            if key.startswith(other):
+                raise ScenarioError(f"field {key!r} does not apply to a {mode} scenario",
+                                    field_name=key, line=lines[key])
+
+    # the scenario's own defaults; any other key the file omits keeps its
+    # record's default
+    records = {"": {"schemes": [1, 2, 3]}, "ep": {"e_d": 0.0}, "link": {}}
+    for key, values in raw.items():
+        record, _, name = _KEYS[key].field.rpartition(".")
+        records[record][name] = _value(key, values, lines[key])
+    for key in _REQUIRED:
+        if key not in raw:
+            raise ScenarioError(f"missing required field {key!r}", field_name=key)
     if explicit == field_mode:
         which = "both" if explicit else "neither"
         raise ScenarioError(
             f"exactly one of 'paths.hops' or 'field.nodes' must be given, got {which}",
             field_name="paths.hops")
-    mode, other = ("explicit", "field.") if explicit else ("field", "paths.")
-    for key in raw:
-        if key.startswith(other):
-            raise ScenarioError(f"field {key!r} does not apply to a {mode} scenario",
-                                field_name=key, line=lines[key])
+    cfg = ScenarioConfig(mode=mode, ep=EnergyParams(**records["ep"]),
+                         link=LinkParams(**records["link"]), **records[""])
 
-    energy = {name: _one(raw, lines, key, float, default=d, required=d is None)
-              for name, (key, d) in _ENERGY_FIELDS.items()}
-    link = dict(
-        b=_one(raw, lines, "link.bit_rate", float, required=True),
-        l=_one(raw, lines, "link.delay", float, default=0.0),
-        q=_one(raw, lines, "link.queue_delay", float, default=0.0),
-    )
-
-    schemes = _conv(raw, lines, "schemes", int, default=[1, 2, 3])
-    if not schemes or len(set(schemes)) != len(schemes) or not set(schemes) <= {1, 2, 3}:
-        raise ScenarioError("schemes must be distinct values from 1, 2, 3",
-                            "schemes", lines.get("schemes"))
-
-    opts = dict(
-        t_dist=_one(raw, lines, "paths.distance", float, default=100.0),
-        redundant=_one(raw, lines, "paths.redundant", int, default=0),
-        field_nodes=_one(raw, lines, "field.nodes", int, default=0),
-        radio_range=_one(raw, lines, "field.radio_range", float, default=24.0),
-        field_seed=_one(raw, lines, "field.seed", int, default=1),
-        source=_one(raw, lines, "field.source", int, default=0),
-        sink=_one(raw, lines, "field.sink", int, default=1),
-        max_paths=_one(raw, lines, "field.max_paths", int, default=5),
-        redundant_fraction=_one(raw, lines, "field.redundant_fraction", float, default=0.05),
-        max_attempts=_one(raw, lines, "sim.max_attempts", int, default=5),
-        control_bits=_one(raw, lines, "sim.control_bits", float, default=100.0),
-        idle_power=_one(raw, lines, "sim.idle_power", float, default=0.0),
-        initial_energy=_one(raw, lines, "sim.initial_energy", float, default=23760.0),
-        background_nodes=_one(raw, lines, "comparison.background_nodes", int, default=0),
-        out_dir=_one(raw, lines, "output.dir", str, default="out"),
-        area=tuple(_conv(raw, lines, "field.area", float, default=[300.0, 300.0])),
-    )
-
-    # the bounds EnergyParams and LinkParams enforce, checked here first so
-    # that the error names the field and line
-    checks = [
-        (energy[name] >= 0, key, f"{key} must be >= 0")
-        for name, (key, _) in _ENERGY_FIELDS.items()
-    ] + [
-        (energy["S"] > 0, "energy.packet_bits", "packet size must be > 0"),
-        (link["b"] > 0, "link.bit_rate", "link bit rate must be > 0"),
-        (link["l"] >= 0, "link.delay", "link delay must be >= 0"),
-        (link["q"] >= 0, "link.queue_delay", "queue delay must be >= 0"),
-        (opts["max_attempts"] >= 1, "sim.max_attempts", "max attempts must be >= 1"),
-        (opts["control_bits"] >= 0, "sim.control_bits", "control bits must be >= 0"),
-        (opts["idle_power"] >= 0, "sim.idle_power", "idle power must be >= 0"),
-        (opts["initial_energy"] > 0, "sim.initial_energy", "initial energy must be > 0"),
-        (opts["background_nodes"] >= 0, "comparison.background_nodes",
-         "background node count must be >= 0"),
-    ]
     if field_mode:
-        nodes, source, sink = opts["field_nodes"], opts["source"], opts["sink"]
-        checks += [
-            (nodes >= 2, "field.nodes", "field needs at least 2 nodes"),
-            (min(opts["area"]) > 0, "field.area", "area dimensions must be > 0"),
-            (opts["radio_range"] > 0, "field.radio_range", "radio range must be > 0"),
-            (0.0 <= opts["redundant_fraction"] <= 1.0, "field.redundant_fraction",
-             "redundant fraction must be in [0, 1]"),
-            (opts["max_paths"] >= 1, "field.max_paths", "max paths must be >= 1"),
-            (opts["field_seed"] >= 0, "field.seed", "field seed must be >= 0"),
-            (0 <= source < nodes, "field.source", f"source must be a node id in [0, {nodes})"),
-            (0 <= sink < nodes, "field.sink", f"sink must be a node id in [0, {nodes})"),
-            (source != sink, "field.sink", "source and sink must differ"),
-        ]
-    for ok, key, message in checks:
-        if not ok:
-            raise ScenarioError(message, key, lines.get(key))
-
-    cfg = ScenarioConfig(mode=mode, packets=packets,
-                         schemes=schemes, ep=EnergyParams(**energy),
-                         link=LinkParams(**link), **opts)
-
-    if explicit:
-        cfg.hops = _conv(raw, lines, "paths.hops", int)
-        if any(h < 1 for h in cfg.hops):
-            raise ScenarioError("hop counts must be >= 1", "paths.hops", lines["paths.hops"])
-        taus = _conv(raw, lines, "paths.tau", float, default=None)
-        if taus is None:
-            from .model import per_hop_delay
-            taus = [per_hop_delay(cfg.ep.S, cfg.link)]
+        node_count = cfg.field_nodes
+        for key, name, nid in (("field.source", "source", cfg.source),
+                               ("field.sink", "sink", cfg.sink)):
+            if not 0 <= nid < node_count:
+                raise ScenarioError(f"{name} must be a node id in [0, {node_count})",
+                                    key, lines.get(key))
+        if cfg.source == cfg.sink:
+            raise ScenarioError("source and sink must differ", "field.sink",
+                                lines.get("field.sink"))
+    else:
+        taus = cfg.taus or _check("paths.tau", [per_hop_delay(cfg.ep.S, cfg.link)], None)
         if len(taus) == 1:
             taus = taus * len(cfg.hops)
         if len(taus) != len(cfg.hops):
             raise ScenarioError(
                 f"need 1 or {len(cfg.hops)} tau values, got {len(taus)}",
                 "paths.tau", lines.get("paths.tau"))
-        if any(t <= 0 for t in taus):
-            raise ScenarioError("tau values must be > 0", "paths.tau", lines.get("paths.tau"))
         cfg.taus = taus
-        if cfg.t_dist <= 0:
-            raise ScenarioError("path distance must be > 0", "paths.distance",
-                                lines.get("paths.distance"))
-        if cfg.redundant < 0:
-            raise ScenarioError("redundant count must be >= 0", "paths.redundant",
-                                lines.get("paths.redundant"))
+        # the synthesized layout's source, sink, path interiors and spares
+        node_count = 2 + sum(h - 1 for h in cfg.hops) + cfg.redundant
 
-    # the ids the network will have: the field's nodes, or the synthesized
-    # layout's source, sink, path interiors and spares
-    node_count = (cfg.field_nodes if field_mode
-                  else 2 + sum(h - 1 for h in cfg.hops) + cfg.redundant)
     for lineno, values in fault_lines:
-        if len(values) < 3:
-            raise ScenarioError("fault needs: kind time target...", "fault", lineno)
-        kind = values[0]
         try:
-            t = float(values[1])
-            ids = [int(v) for v in values[2:]]
+            kind, time, *ids = values
+            time, ids = float(time), [int(v) for v in ids]
         except ValueError:
             raise ScenarioError(f"cannot parse fault {' '.join(values)!r}",
                                 "fault", lineno) from None
-        if not math.isfinite(t):
-            raise ScenarioError(f"fault time must be finite, got {values[1]!r}",
-                                "fault", lineno)
-        if (kind, len(ids)) not in (("node_fail", 1), ("link_fail", 2)):
-            raise ScenarioError(
-                "fault must be 'node_fail <t> <id>' or 'link_fail <t> <u> <v>'",
-                "fault", lineno)
+        try:
+            event = FaultEvent(time=time, kind=kind,
+                               target=ids[0] if len(ids) == 1 else tuple(ids))
+        except ValueError as exc:
+            raise ScenarioError(str(exc), "fault", lineno) from None
         for nid in ids:
             if not 0 <= nid < node_count:
                 raise ScenarioError(
                     f"fault target {nid} is not a node id in [0, {node_count})",
                     "fault", lineno)
-        if len(ids) == 2 and ids[0] == ids[1]:
-            raise ScenarioError("link_fail needs two different nodes", "fault", lineno)
-        try:
-            cfg.faults.events.append(FaultEvent(
-                time=t, kind=kind, target=ids[0] if len(ids) == 1 else tuple(ids)))
-        except ValueError as exc:
-            raise ScenarioError(str(exc), "fault", lineno) from None
+        cfg.faults.events.append(event)
     return cfg
 
 

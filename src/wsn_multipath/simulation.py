@@ -239,12 +239,16 @@ class FaultEvent:
     target: int | tuple[int, int]
 
     def __post_init__(self):
+        if not math.isfinite(self.time):
+            raise ValueError(f"fault time must be finite, got {self.time}")
         if self.time < 0:
             raise ValueError(f"fault time must be >= 0, got {self.time}")
         if self.kind not in ("node_fail", "link_fail"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.kind == "link_fail" and not (isinstance(self.target, tuple) and len(self.target) == 2):
             raise ValueError("link_fail target must be a (u, v) pair")
+        if self.kind == "link_fail" and self.target[0] == self.target[1]:
+            raise ValueError("link_fail needs two different nodes")
         if self.kind == "node_fail" and not isinstance(self.target, int):
             raise ValueError("node_fail target must be a node id")
 
@@ -520,7 +524,7 @@ class _Engine:
             return
         try:
             spare = replace_failed_node(self.g, failed, near=initiator,
-                                        exclude=frozenset(self.fabric))
+                                        exclude=self.fabric)
         except UnrecoverableFailureError:
             self._fail_path(t, pr, case, failed, initiator, "")
             return

@@ -65,7 +65,7 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
     """
     n, r = len(pts), float(r)
     if n < 2:
-        return np.empty((0, 2), dtype=np.intp)
+        return np.empty((0, 2), dtype=np.min_scalar_type(n))
     lo = pts.min(axis=0)
     # at most 2**20 cells a side, so the int64 key cannot overflow; the
     # 2**-20 margin keeps two points whose rounded distance passes the test
@@ -123,16 +123,17 @@ class TopologyGraph:
         pairs = _pairs_within(pts, radio_range)
         # each pair in both directions as one key, row * n + column, so one
         # sort groups the pairs by row and orders each row by neighbour.
-        # Filled in place, so only the pairs and the keys are ever live
+        # Filled in place, so only the pairs and the keys are ever live, and
+        # in the narrowest dtype that holds n * n (uint32 up to 65,535 nodes)
         m = len(pairs)
-        keys = np.empty(2 * m, dtype=np.int64)
+        keys = np.empty(2 * m, dtype=np.min_scalar_type(n * n))
         for half, (u, v) in ((keys[:m], pairs.T), (keys[m:], pairs.T[::-1])):
-            np.multiply(u, n, out=half, dtype=np.int64)
+            np.multiply(u, n, out=half, dtype=keys.dtype)
             half += v
         del pairs
         keys.sort()
         # row u's keys are the ones in [u * n, (u + 1) * n)
-        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
         self._indices = np.remainder(keys, n, out=keys).astype(np.min_scalar_type(n))
         for shared in (self._pos, self._indptr, self._indices):
             shared.flags.writeable = False
@@ -233,15 +234,18 @@ class TopologyGraph:
             self.version += 1
 
     def activate_spare(self, node_id: int):
-        """Turn a redundant node into a regular route participant."""
-        self._spares.discard(node_id)
-        self.version += 1
+        """Turn a redundant node into a regular route participant; any
+        other node is left as it is, and the version with it."""
+        if node_id in self._spares:
+            self._spares.remove(node_id)
+            self.version += 1
 
     def set_residual(self, node_id: int, joules: float):
         """Store a node's residual energy; the topology is unchanged."""
         self._residual[node_id] = joules
 
-    def nearest_redundant(self, near: int, exclude: frozenset[int] = frozenset()) -> int | None:
+    def nearest_redundant(self, near: int,
+                          exclude: set[int] | frozenset[int] = frozenset()) -> int | None:
         """The alive spare closest to ``near`` that is not in ``exclude``;
         lowest id wins ties. None when there is none."""
         candidates = list(self._spares - exclude - self._failed)

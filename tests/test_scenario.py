@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +9,12 @@ from wsn_multipath import (
     ScenarioError,
     build_network,
     bundled_scenario_path,
+    deploy_field,
     load_scenario,
     parse_scenario,
     run_comparison,
 )
+from wsn_multipath.scenario import _KEYS, _REQUIRED
 
 
 class TestParsing:
@@ -81,6 +85,81 @@ fault link_fail 0.1 3 4
         assert len(cfg.faults.events) == 2
         assert cfg.faults.events[0].target == 5
         assert cfg.faults.events[1].target == (3, 4)
+
+
+class TestKeyMapping:
+    # key: (value in the file, attribute path from ScenarioConfig, parsed value);
+    # every value differs from what the key's field holds when it is omitted
+    COMMON = {
+        "packets": ("7", "packets", 7),
+        "schemes": ("3 1", "schemes", [3, 1]),
+        "link.bit_rate": ("40000", "link.b", 40000.0),
+        "link.delay": ("0.001", "link.l", 0.001),
+        "link.queue_delay": ("0.002", "link.q", 0.002),
+        "energy.e_t": ("0.2", "ep.e_t", 0.2),
+        "energy.e_d": ("1e-9", "ep.e_d", 1e-9),
+        "energy.e_r": ("0.3", "ep.e_r", 0.3),
+        "energy.path_loss_k": ("3", "ep.k", 3.0),
+        "energy.t_1b": ("1e-5", "ep.T_1b", 1e-5),
+        "energy.t_2b": ("3e-5", "ep.T_2b", 3e-5),
+        "energy.k_r": ("0.05", "ep.K_r", 0.05),
+        "energy.packet_bits": ("800", "ep.S", 800.0),
+        "sim.max_attempts": ("3", "max_attempts", 3),
+        "sim.control_bits": ("50", "control_bits", 50.0),
+        "sim.idle_power": ("1e-4", "idle_power", 1e-4),
+        "sim.initial_energy": ("100", "initial_energy", 100.0),
+        "comparison.background_nodes": ("10", "background_nodes", 10),
+        "output.dir": ("results", "out_dir", "results"),
+    }
+    MODES = {
+        "explicit": ("paths.hops 5\n", {
+            "paths.hops": ("4 6", "hops", [4, 6]),
+            "paths.tau": ("0.01 0.03", "taus", [0.01, 0.03]),
+            "paths.distance": ("50", "t_dist", 50.0),
+            "paths.redundant": ("3", "redundant", 3),
+        }),
+        "field": ("field.nodes 120\n", {
+            "field.nodes": ("50", "field_nodes", 50),
+            "field.area": ("100 120", "area", (100.0, 120.0)),
+            "field.radio_range": ("30", "radio_range", 30.0),
+            "field.seed": ("9", "field_seed", 9),
+            "field.source": ("4", "source", 4),
+            "field.sink": ("7", "sink", 7),
+            "field.max_paths": ("2", "max_paths", 2),
+            "field.redundant_fraction": ("0.1", "redundant_fraction", 0.1),
+        }),
+    }
+    MINIMAL = """packets 1
+link.bit_rate 1000
+energy.e_t 0.1
+energy.e_r 0.1
+energy.k_r 0.01
+"""
+
+    def test_every_key_is_covered(self):
+        covered = set(self.COMMON).union(*(keys for _, keys in self.MODES.values()))
+        assert covered == set(_KEYS)
+
+    @pytest.mark.parametrize("mode", ["explicit", "field"])
+    def test_each_value_lands_on_its_field(self, mode):
+        mode_line, mode_keys = self.MODES[mode]
+        keys = {**self.COMMON, **mode_keys}
+        cfg = parse_scenario("".join(f"{k} {text}\n" for k, (text, _, _) in keys.items()))
+        omitted = parse_scenario(self.MINIMAL + mode_line)
+        assert (cfg.mode, omitted.mode) == (mode, mode)
+        for key, (_, path, want) in keys.items():
+            got = attrgetter(path)(cfg)
+            assert (got, type(got)) == (want, type(want)), key
+            assert attrgetter(path)(omitted) != want, key
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in section.splitlines() if line.startswith("| `")]
+        keys = [row[0].strip("`") for row in rows]
+        assert sorted(keys) == sorted(_KEYS)
+        assert {key for key, row in zip(keys, rows) if row[1] == "required"} == set(_REQUIRED)
 
 
 class TestParseErrors:
@@ -335,6 +414,15 @@ energy.k_r 0.01
         routes = table.routes
         assert routes, "expected at least one route through the field"
         assert all(r.profile is not None for r in routes)
+
+    def test_built_graph_is_unmutated(self):
+        # neither end is a spare, so activating them changes nothing
+        cfg = parse_scenario(self.FIELD)
+        spares = deploy_field(cfg.area, cfg.field_nodes, cfg.field_seed,
+                              redundant_fraction=cfg.redundant_fraction).spares
+        assert spares and cfg.source not in spares and cfg.sink not in spares
+        g, _ = build_network(cfg)
+        assert g.version == 1
 
     def test_unknown_sink_rejected(self):
         with pytest.raises(ScenarioError) as exc:

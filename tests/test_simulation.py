@@ -57,6 +57,17 @@ def bench_net(bench_scenario_text, packets=100):
     return cfg, g, table, profiles
 
 
+class TestFaultEvent:
+    @pytest.mark.parametrize("time, kind, target", [
+        (math.nan, "node_fail", 3),
+        (math.inf, "node_fail", 3),
+        (0.1, "link_fail", (3, 3)),
+    ])
+    def test_rejects_bad_event(self, time, kind, target):
+        with pytest.raises(ValueError):
+            FaultEvent(time=time, kind=kind, target=target)
+
+
 class TestFaultFreeTransfer:
     def test_per_path_delay_matches_closed_form(self, bench_scenario_text):
         cfg, g, table, profiles = bench_net(bench_scenario_text)

@@ -150,7 +150,7 @@ class TestInPlaceEdits:
                 changed = False
                 energy = args[1]
             else:
-                changed = True
+                changed = spare
                 spare = False
             nodes_want[args[0]] = (energy, alive, spare)
             getattr(g, op)(*args)
