@@ -200,7 +200,8 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
     if explicit != field_mode:
         for key in raw:
             if key.startswith(other):
-                raise ScenarioError(f"field {key!r} does not apply to a {mode} scenario",
+                article = "an" if explicit else "a"
+                raise ScenarioError(f"field {key!r} does not apply to {article} {mode} scenario",
                                     field_name=key, line=lines[key])
 
     # the scenario's own defaults; any other key the file omits keeps its

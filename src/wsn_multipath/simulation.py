@@ -19,45 +19,54 @@ Whichever check concludes first drives recovery, the other is logged as a
 non-driving detection. Recovery swaps the unreachable node for the nearest
 redundant spare and resumes from the last holder of the packet. When both ends
 of the hop are dead nobody is left to detect the fault, so the path fails when
-the receiver's timer is due and drops its remaining packets. Both checks act
-only on a failed hop, so a hop is a send and an arrival: an arrival over a
-missing link decides the ack timeout due at that instant, and the receiver's
-timer is pushed when the hop is first seen to fail, under the ``(time, seq)``
-key it took when the hop was sent.
+the receiver's timer is due and drops its remaining packets. A beacon whose
+partner dies before replying leaves the fault to the timer; once both checks
+have ended without a detection, the sender beacons its next alive neighbour.
+Both checks act only on a failed hop, so a hop is a send and an arrival: an
+arrival over a missing link decides the ack timeout due at that instant, and
+the receiver's timer is pushed when the hop is first seen to fail, under the
+``(time, seq)`` key it took when the hop was sent.
 
-Between disruptions a path's progress follows from its hop time and per-hop
-charges alone, so the engine advances every path in one window instead of
-stepping every hop. A disruption is the next scripted fault, a pending beacon
-exchange or detection timer, a route with a dead node or broken link, or a
-route node whose residual energy could reach zero. The window's flat loop
-applies the per-hop handlers' charges in the same per-path order and builds
-hop times by the same chain of ``t + tau`` additions; a closed form such as
-``t0 + k * H * tau`` would change the low bits and could move a hop across a
-fault scheduled on it. The source and sink, which every path charges, take
-those charges in the order stepping would pop the arrivals. At the window's
-end each in-flight ``PacketArrive`` goes back on the heap and its timer's key
-is taken, in the order stepping would make them, since same-time events of
-different paths pop in push order; stale events (``_stale``), which the
-main loop would drop unhandled, are dropped. The result is bit-identical to
-stepping.
+A ledger counts charges by unit: per node, the charges of each size in joules
+and the seconds on air of each size, and per path its communication charges.
+Every total is the exactly rounded sum (``math.fsum``) of count times unit, so
+it does not depend on the order the charges were made in.
+
+Between disruptions a path's progress follows from its hop time and its
+charge counts alone, so the engine advances every path in one window instead
+of stepping every hop. A disruption is the next scripted fault, a pending
+beacon exchange or detection timer, a route with a dead node or broken link,
+or a route node whose residual energy could reach zero. The window builds hop
+times by the same chain of ``t + tau`` additions stepping makes; a closed form
+such as ``t0 + k * H * tau`` would change the low bits and could move a hop
+across a fault scheduled on it. Each route node then takes the window's
+arrival, injection and delivery counts as one charge per unit. At the
+window's end each in-flight ``PacketArrive`` goes back on the heap and its
+timer's key is taken, in the order stepping would make them, since same-time
+events of different paths pop in push order; stale events (``_stale``), which
+the main loop would drop unhandled, are dropped. The result is bit-identical
+to stepping.
 
 ``SimConfig.trace`` decides only whether lines are written, not how the engine
 runs: a stepped pop writes its event's line, and a window writes the lines of
 the sends and arrivals it consumes, merged across paths in the order stepping
-would pop them. Windows start only after every earlier event has popped, so
-the trace lists each event the engine acts on, in pop order; an event no
-handler would act on is skipped in both modes and has no line.
+would pop them, before it changes any path. Windows start only after every
+earlier event has popped, so the trace lists each event the engine acts on,
+in pop order; an event no handler would act on is skipped in both modes and
+has no line.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from heapq import merge
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import EnergyParams, LinkParams, PathProfile, per_hop_delay
+from .model import (EnergyParams, LinkParams, PathProfile, per_hop_delay,
+                    rx_energy_per_bit, tx_energy_per_bit)
 from .distribution import Distribution
 from .routing import RoutingTable, replace_failed_node
 from .topology import TopologyGraph, UnrecoverableFailureError
@@ -120,57 +129,30 @@ def _finite_sum(values: list[float], what: str) -> float:
     return total
 
 
-class _Kahan:
-    """Compensated accumulator; keeps long charge sums near fsum accuracy."""
-
-    __slots__ = ("value", "_c")
-
-    def __init__(self):
-        self.value = 0.0
-        self._c = 0.0
-
-    def add(self, x: float):
-        y = x - self._c
-        t = self.value + y
-        self._c = (t - self.value) - y
-        self.value = t
-
-    def add_repeat(self, x: float, n: int):
-        """``add(x)`` n times, with the same rounding."""
-        v, c = self.value, self._c
-        for _ in range(n):
-            y = x - c
-            t = v + y
-            c = (t - v) - y
-            v = t
-        self.value, self._c = v, c
-
-    def add_alternate(self, x1: float, x2: float, pairs: int):
-        """``add(x1); add(x2)`` ``pairs`` times, with the same rounding."""
-        v, c = self.value, self._c
-        for _ in range(pairs):
-            y = x1 - c
-            t = v + y
-            c = (t - v) - y
-            v = t
-            y = x2 - c
-            t = v + y
-            c = (t - v) - y
-            v = t
-        self.value, self._c = v, c
+def _products(*counts: dict[float, int]) -> list[float]:
+    return [unit * n for c in counts for unit, n in c.items()]
 
 
 @dataclass
 class NodeLedger:
+    """One node's charges, counted by unit: ``tx`` and ``rx`` map joules per
+    charge to a number of charges, ``busy`` maps seconds on air per charge to
+    one, and ``idle`` is the one end-of-round charge. A total is the exactly
+    rounded sum of count times unit, so it does not depend on charge order."""
+
     initial: float
-    tx: _Kahan = field(default_factory=_Kahan)
-    rx: _Kahan = field(default_factory=_Kahan)
-    idle: _Kahan = field(default_factory=_Kahan)
-    busy: float = 0.0
+    tx: dict[float, int] = field(default_factory=lambda: defaultdict(int))
+    rx: dict[float, int] = field(default_factory=lambda: defaultdict(int))
+    busy: dict[float, int] = field(default_factory=lambda: defaultdict(int))
+    idle: float = 0.0
+
+    @property
+    def time_on_air(self) -> float:
+        return math.fsum(_products(self.busy))
 
     @property
     def consumed(self) -> float:
-        return self.tx.value + self.rx.value + self.idle.value
+        return math.fsum(_products(self.tx, self.rx) + [self.idle])
 
     @property
     def residual(self) -> float:
@@ -183,13 +165,14 @@ class EnergyLedger:
     A node's ledger is made on its first charge, starting from the residual
     the graph holds for it then, so ``nodes`` holds exactly the nodes that
     took a charge. Until ``settle`` hands the residuals back to the graph,
-    ``residual`` of an uncharged node is the graph's value.
+    ``residual`` of an uncharged node is the graph's value. A path's
+    communication energy is counted by unit, as a node's charges are.
     """
 
     def __init__(self, g: TopologyGraph | None = None):
         self._g = g
         self.nodes: dict[int, NodeLedger] = {}
-        self.path_comm: dict[int, _Kahan] = {}
+        self.path_comm: dict[int, dict[float, int]] = defaultdict(lambda: defaultdict(int))
 
     def ensure(self, node_id: int) -> NodeLedger:
         led = self.nodes.get(node_id)
@@ -197,19 +180,17 @@ class EnergyLedger:
             led = self.nodes[node_id] = NodeLedger(initial=self._g.residual(node_id))
         return led
 
-    def _path(self, path_id: int) -> _Kahan:
-        if path_id not in self.path_comm:
-            self.path_comm[path_id] = _Kahan()
-        return self.path_comm[path_id]
-
-    def charge(self, node_id: int, part: str, joules: float, busy: float = 0.0,
-               path_id: int | None = None) -> NodeLedger:
-        """Add ``joules`` to the node's ``part`` ("tx" or "rx")."""
+    def charge(self, node_id: int, part: str, joules: float, count: int,
+               busy: float = 0.0, path_id: int | None = None) -> NodeLedger:
+        """Add ``count`` charges of ``joules`` to the node's ``part`` ("tx"
+        or "rx"), each on air for ``busy`` seconds, and to the path's
+        communication energy when ``path_id`` is given."""
         led = self.ensure(node_id)
-        getattr(led, part).add(joules)
-        led.busy += busy
+        getattr(led, part)[joules] += count
+        if busy:
+            led.busy[busy] += count
         if path_id is not None:
-            self._path(path_id).add(joules)
+            self.path_comm[path_id][joules] += count
         return led
 
     def residual(self, node_id: int) -> float:
@@ -224,12 +205,13 @@ class EnergyLedger:
         self._g = None
 
     def comm_for_path(self, path_id: int) -> float:
-        acc = self.path_comm.get(path_id)
-        return acc.value if acc else 0.0
+        return math.fsum(_products(self.path_comm.get(path_id, {})))
 
     def total(self, component: str) -> float:
-        return _finite_sum([getattr(led, component).value for led in self.nodes.values()],
-                           f"{component} energy")
+        leds = self.nodes.values()
+        parts = ([led.idle for led in leds] if component == "idle" else
+                 [p for led in leds for p in _products(getattr(led, component))])
+        return _finite_sum(parts, f"{component} energy")
 
 
 @dataclass(frozen=True)
@@ -327,6 +309,7 @@ class _PathRun:
         self.instance = 0     # bumped on every fresh hop start
         self.deadline: tuple[float, int] | None = None  # hop's timer key until pushed
         self.last_recovery_instance: int | None = None
+        self.unheard: int | None = None  # hop instance with one check ended unheard
         self.delivery_time = 0.0
         self.resolved_time = 0.0
 
@@ -392,8 +375,9 @@ class _Engine:
         self.dist = dist
         self.config = config
         self.tau_ctrl = per_hop_delay(config.control_bits, link)
-        self.j_rx = ep.e_r * ep.T_2b * ep.S
-        self.j_ctrl_rx = ep.e_r * ep.T_2b * config.control_bits
+        rx_per_bit = rx_energy_per_bit(ep)
+        self.j_rx = rx_per_bit * ep.S
+        self.j_ctrl_rx = rx_per_bit * config.control_bits
         routes = {r.path_id: r for r in table.routes}
         self.paths: dict[int, _PathRun] = {}
         base = 0
@@ -403,11 +387,10 @@ class _Engine:
             r = routes[pid]
             if r.profile is None:
                 raise ValueError(f"route {pid} has no estimated parameters")
-            power = ep.amplified_tx_power(r.profile.hop_distance)
+            tx_per_bit = tx_energy_per_bit(ep, r.profile.hop_distance)
             self.paths[pid] = _PathRun(
                 pid, list(r.nodes), r.profile, packets, base,
-                j_tx=power * ep.T_1b * ep.S,
-                j_ctrl_tx=power * ep.T_1b * config.control_bits)
+                j_tx=tx_per_bit * ep.S, j_ctrl_tx=tx_per_bit * config.control_bits)
             base += packets
         self.heap: list[tuple[float, int, SimEvent]] = []
         self.seq = 0
@@ -435,19 +418,19 @@ class _Engine:
 
     def _data_tx(self, node_id: int, pr: _PathRun, busy: float):
         self._check_death(node_id, self.ledger.charge(
-            node_id, "tx", pr.j_tx, busy, pr.path_id))
+            node_id, "tx", pr.j_tx, 1, busy, pr.path_id))
 
     def _data_rx(self, node_id: int, pr: _PathRun, busy: float):
         self._check_death(node_id, self.ledger.charge(
-            node_id, "rx", self.j_rx, busy, pr.path_id))
+            node_id, "rx", self.j_rx, 1, busy, pr.path_id))
 
     def _ctrl_tx(self, node_id: int, pr: _PathRun):
         self._check_death(node_id, self.ledger.charge(
-            node_id, "tx", pr.j_ctrl_tx, self.tau_ctrl))
+            node_id, "tx", pr.j_ctrl_tx, 1, self.tau_ctrl))
 
     def _ctrl_rx(self, node_id: int):
         self._check_death(node_id, self.ledger.charge(
-            node_id, "rx", self.j_ctrl_rx, self.tau_ctrl))
+            node_id, "rx", self.j_ctrl_rx, 1, self.tau_ctrl))
 
     # -- pipeline ---------------------------------------------------------
 
@@ -578,15 +561,37 @@ class _Engine:
         if pr.attempt < self.config.max_attempts:
             self._retry(ev.time, pr)
             return
+        self._beacon(ev.time, pr)
+
+    def _beacon(self, t: float, pr: _PathRun):
+        # the hop's sender checks its radio with a neighbour other than the receiver
+        a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
         c = _beacon_neighbor(self.g, a, avoid=b)
         if c is None:
             # nowhere to verify the radio: treat the upstream side as faulty
-            self._begin_recovery(ev.time, pr, FaultCase.NODE_SILENT,
+            self._begin_recovery(t, pr, FaultCase.NODE_SILENT,
                                  failed=a, initiator=a)
             return
-        self._push(ev.time, EventKind.BEACON_SEND, node_from=a, node_to=c,
-                   packet_id=ev.packet_id, path_id=pr.path_id,
-                   instance=ev.instance)
+        self._push(t, EventKind.BEACON_SEND, node_from=a, node_to=c,
+                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
+
+    def _unheard(self, t: float, pr: _PathRun, instance: int):
+        """One of a failed hop's two checks, the receiver's timer or the
+        sender's beacon, ended without a detection. The first leaves the
+        fault to the other. After the second nothing is left to detect it,
+        so the sender beacons again, through its next alive neighbour, or
+        with the sender dead too the path fails."""
+        if pr.state != _RUNNING or instance != pr.instance:
+            return
+        if pr.unheard != instance:
+            pr.unheard = instance
+            return
+        a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
+        if self.g.alive(a):
+            self._beacon(t, pr)
+        else:
+            self._fail_path(t, pr, FaultCase.NODE_SILENT, a, b,
+                            "sender and receiver both failed")
 
     def _on_beacon_send(self, ev: SimEvent, pr: _PathRun):
         a, c = ev.node_from, ev.node_to
@@ -601,11 +606,13 @@ class _Engine:
 
     def _on_beacon_result(self, ev: SimEvent, pr: _PathRun):
         c, a = ev.node_from, ev.node_to
-        if not self.g.alive(c):
+        replied = self.g.alive(c)
+        if replied:
+            self._ctrl_tx(c, pr)
+        if not (replied and self.g.alive(a)):
+            # no reply reached the sender; the receiver's timer may detect
+            self._unheard(ev.time, pr, ev.instance)
             return
-        self._ctrl_tx(c, pr)
-        if not self.g.alive(a):
-            return  # requester gone; its receiver-side timer path takes over
         self._ctrl_rx(a)
         b = pr.nodes[pr.hop + 1] if pr.hop + 1 < len(pr.nodes) else a
         if pr.state == _RUNNING and ev.instance == pr.instance:
@@ -628,6 +635,8 @@ class _Engine:
                 # nobody is left to detect the fault, so the path fails
                 self._fail_path(ev.time, pr, FaultCase.NODE_SILENT, a, b,
                                 "sender and receiver both failed")
+            else:  # the sender's beacon may detect
+                self._unheard(ev.time, pr, ev.instance)
         elif ev.instance == pr.last_recovery_instance and self.g.alive(b):
             self.records.append(FaultRecord(
                 time=ev.time, path_id=pr.path_id, case=FaultCase.NODE_SILENT,
@@ -689,63 +698,53 @@ class _Engine:
             horizon = min(horizon, now + budget / per_s)
         return horizon
 
-    def _advance(self, pr: _PathRun, s: float, a: float, horizon: float,
-                 entry: tuple, out: list):
+    def _advance(self, pr: _PathRun, s: float, a: float,
+                 horizon: float) -> tuple[int, float]:
         """Complete every hop of ``pr`` that arrives before ``horizon``.
 
-        The hop in flight was sent at ``s`` and arrives at ``a``. Applies the
-        charges and state changes the per-hop handlers would, except the
-        source's and sink's transmissions and busy time, which other paths
-        share: for each of those it yields ``((arrival, send time) + entry,
-        node, pr)``, in time order. Once exhausted it leaves the number of
-        arrivals and the send time of the hop now in flight (or of the last
-        one) in ``out``.
+        The hop in flight was sent at ``s`` and arrives at ``a``; later hop
+        times are built by the same ``t + tau`` chain stepping builds. Returns
+        the number of arrivals and the send time of the hop now in flight (or
+        of the last one).
         """
         tau = pr.profile.tau
         hops = pr.hops
-        source, sink = pr.nodes[0], pr.nodes[-1]
         n = hops - pr.hop            # arrivals left for the packet in flight
         left = pr.total - pr.sent    # packets not yet injected
-        prev = s
         k = delivered = 0
         last = 0.0
         while True:
             n0 = n
-            if n == hops and a < horizon:
-                yield (a, s) + entry, source, pr
             while n and a < horizon:
-                prev = s
                 s = a
                 a += tau
                 n -= 1
             k += n0 - n
             if n:
                 break
-            yield (s, prev) + entry, sink, pr
             delivered += 1
             last = s
             if delivered > left:
                 break
             n = hops
-        out[:] = k, s
         if k:
             self._apply_hops(pr, k, delivered, s, last)
+        return k, s
 
-    def _advance_traced(self, pr: _PathRun, s: float, a: float, horizon: float,
-                        entry: tuple, out: list, sending: bool, seq0: int):
-        """``_advance`` for a traced run: yields every send and arrival it
-        consumes as ``(key, line, ends, pr)``, where ``ends`` are the shared
-        end nodes the event charges; the keys sort the events of all paths in
-        the order stepping would pop them.
+    def _trace_walk(self, pr: _PathRun, s: float, a: float, horizon: float,
+                    entry: tuple, sending: bool, seq0: int):
+        """The lines of the sends and arrivals ``_advance`` will consume, as
+        ``(key, line)``; the keys sort the events of all paths in the order
+        stepping would pop them. It reads the path's state and changes none.
 
         The first event is the pending one, sent at ``s`` if ``sending``,
         else arriving at ``a``, with seq ``seq0``. It keys ``(time, -inf,
         seq0)``: before any event the window makes at its time, and among
         other pending events in heap order. An arrival made in the window keys
-        ``(time, send time) + entry``, as ``_advance`` keys its charges. A send
-        made in the window keys ``(time, time, send time of the arrival that
-        starts it) + entry``: after every arrival at its time, whose send
-        time is earlier, and in the order of the arrivals that start them.
+        ``(time, send time) + entry``. A send made in the window keys ``(time,
+        time, send time of the arrival that starts it) + entry``: after every
+        arrival at its time, whose send time is earlier, and in the order of
+        the arrivals that start them.
         """
         tau = pr.profile.tau
         hops = pr.hops
@@ -755,72 +754,50 @@ class _Engine:
                                     pr.path_id).format for u, v in links]
         arrives = [_TRACE_LINE.format("{0}", EventKind.PACKET_ARRIVE.value, u, v, "{1}",
                                       pr.path_id).format for u, v in links]
-        # per hop, the shared ends its arrival charges: the source, the sink
-        ends = [()] * hops
-        ends[0] += (pr.nodes[0],)
-        ends[-1] += (pr.nodes[-1],)
         hop, pkt = pr.hop, pr.pkt
         left = pr.total - pr.sent
-        k = delivered = 0
-        last = 0.0
+        delivered = 0
         key = (s if sending else a, -math.inf, seq0)
         if sending:
-            yield key, sends[hop](format(s, _TRACE_TIME), pkt), (), pr
+            yield key, sends[hop](format(s, _TRACE_TIME), pkt)
             key = (a, s) + entry
         while a < horizon:
             at = format(a, _TRACE_TIME)
-            yield key, arrives[hop](at, pkt), ends[hop], pr
-            k += 1
+            yield key, arrives[hop](at, pkt)
             prev, s = s, a
             hop += 1
             if hop == hops:
                 delivered += 1
-                last = a
                 if delivered > left:
                     break
                 hop = 0
                 pkt += 1
-            yield (a, a, prev) + entry, sends[hop](at, pkt), (), pr
+            yield (a, a, prev) + entry, sends[hop](at, pkt)
             a += tau
             key = (a, s) + entry
-        out[:] = k, s
-        if k:
-            self._apply_hops(pr, k, delivered, s, last)
 
     def _apply_hops(self, pr: _PathRun, k: int, delivered: int, s: float,
                     last: float):
-        """Apply the charges and state changes of ``k`` walked arrivals, of
-        which ``delivered`` delivered a packet, the last at ``last``; ``s`` is
-        the send time of the hop now in flight. The shared ends' transmissions
-        and busy time are left to the walk's consumer.
+        """Apply the charges and state changes of ``k`` arrivals, of which
+        ``delivered`` delivered a packet, the last at ``last``; ``s`` is the
+        send time of the hop now in flight.
         """
         tau = pr.profile.tau
         hops = pr.hops
-        left = pr.total - pr.sent
-        done = delivered > left
+        done = delivered > pr.total - pr.sent
         injects = delivered - done
-        # arrivals per hop index; the sink's handoff and the source's
-        # acquisition ride on deliveries and injections
+        # arrivals per hop index
         full, extra = divmod(k, hops)
         arrivals = [full + ((h - pr.hop) % hops < extra) for h in range(hops)]
+        # node i sends hop i and receives hop i - 1, on air for tau each; the
+        # source's acquisition of each injected packet and the sink's handoff
+        # of each delivered one are off the air
         for i, node in enumerate(pr.nodes):
-            n_rx = arrivals[i - 1] if i else injects
-            n_tx = arrivals[i] if 0 < i < hops else 0
-            if not n_rx + n_tx:
-                continue  # stepping would make this node no ledger either
-            led = self.ledger.ensure(node)
-            led.rx.add_repeat(self.j_rx, n_rx)
-            led.tx.add_repeat(pr.j_tx, n_tx)
-            if 0 < i < hops:
-                busy = led.busy
-                for _ in range(n_tx + n_rx):
-                    busy += tau
-                led.busy = busy
-        # each arrival charges tx then rx, each delivery tx then, if it injects, rx
-        comm = self.ledger._path(pr.path_id)
-        comm.add_alternate(pr.j_tx, self.j_rx, k + injects)
-        if done:
-            comm.add(pr.j_tx)
+            tx = (arrivals[i], tau) if i < hops else (delivered, 0.0)
+            rx = (arrivals[i - 1], tau) if i else (injects, 0.0)
+            for part, joules, (count, busy) in (("tx", pr.j_tx, tx), ("rx", self.j_rx, rx)):
+                if count:  # stepping would charge no zero count either
+                    self.ledger.charge(node, part, joules, count, busy, pr.path_id)
         pr.delivered += delivered
         pr.sent += injects
         if delivered:
@@ -862,9 +839,8 @@ class _Engine:
                 horizon = min(horizon, item[0])
         if horizon <= now:
             return False
-        walks, chains = [], []
+        walks, lines = [], []
         for pr in running:
-            # the walks are generators: nothing changes until merge runs them
             items = pending[pr.path_id]
             if len(items) != 1 or items[0][2].kind not in _CLEAN_HOPS:
                 return False
@@ -875,7 +851,7 @@ class _Engine:
                 continue
             tau = pr.profile.tau
             s, a = (t0, t0 + tau) if sending else (pr.hop_start, t0)
-            # the sort keys order the charges and pushes as stepping would
+            # the sort keys order the lines and pushes as stepping would
             # make them: by the time of the pop that makes them, arrivals
             # before the sends they start; events that then share a time
             # belong to paths with one tau moving in step, ordered by how
@@ -884,29 +860,15 @@ class _Engine:
             # was pushed; at one entry time a pending send precedes the send
             # a pending arrival will start
             entry = (-t0, not sending, seq0)
-            out = []
-            chains.append(
-                self._advance_traced(pr, s, a, horizon, entry, out, sending, seq0)
-                if self.config.trace else self._advance(pr, s, a, horizon, entry, out))
-            walks.append((pr, item, sending, entry, out))
-        # the source's and sink's charges from every path, and in a traced
-        # run every event's line, in pop order
-        if self.config.trace:
-            append = self.trace.append
-            for _, line, ends, pr in merge(*chains):
-                append(line)
-                for node in ends:
-                    led = self.ledger.ensure(node)
-                    led.tx.add(pr.j_tx)
-                    led.busy += pr.profile.tau
-        else:
-            for _, node, pr in merge(*chains):
-                led = self.ledger.ensure(node)
-                led.tx.add(pr.j_tx)
-                led.busy += pr.profile.tau
+            if self.config.trace:
+                lines.append(self._trace_walk(pr, s, a, horizon, entry, sending, seq0))
+            walks.append((pr, item, sending, entry, s, a))
+        if lines:  # every path's lines in pop order, read before the walks run
+            self.trace.extend(line for _, line in merge(*lines))
         pushes = []
         advanced = False
-        for pr, item, sending, entry, (k, s) in walks:
+        for pr, item, sending, entry, s, a in walks:
+            k, s = self._advance(pr, s, a, horizon)
             if k:
                 if pr.state == _RUNNING:
                     pushes.append(((s, 0) + entry, pr))  # its timer's key
@@ -994,8 +956,8 @@ class _Engine:
         for nid in report.fabric_nodes:
             if self.g.alive(nid):
                 led = self.ledger.ensure(nid)
-                led.idle.add(self.config.idle_power
-                             * max(0.0, report.completion_time - led.busy))
+                led.idle = self.config.idle_power * max(
+                    0.0, report.completion_time - led.time_on_air)
         self.ledger.settle()
         return report
 

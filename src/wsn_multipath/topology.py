@@ -3,7 +3,7 @@
 Nodes live on a plane, and a node's id is its index in the positions the
 graph is made from: ids run ``0..len(g) - 1``. Two alive nodes are linked
 when they lie within the radio range. The graph finds those pairs once, when
-it is made: a uniform cell grid gives them as an array (``_pairs_within``),
+it is made: a uniform cell grid gives them in blocks (``_pairs_within``),
 and one numpy sort turns them into a base adjacency in CSR form, node ``u``'s
 neighbours being ``indices[indptr[u]:indptr[u + 1]]`` in ascending order. The
 positions and the base arrays are never written, so every ``copy`` shares
@@ -50,9 +50,10 @@ class UnrecoverableFailureError(RuntimeError):
 _SPANS_PER_BLOCK = 2048
 
 
-def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
+def _pairs_within(pts: np.ndarray, r: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each pair ``(i, j)`` of rows of the ``(n, 2)`` array ``pts`` with
-    ``dx*dx + dy*dy <= r*r`` in float64, once, in no particular order.
+    ``dx*dx + dy*dy <= r*r`` in float64, once, in no particular order, as
+    blocks of hits ``(i's, j's)``.
 
     Points are bucketed into square cells of side at least ``r`` and sorted
     by cell key, so a pair in range lies in one cell or in two adjacent
@@ -61,11 +62,12 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
     next column), so every candidate pair is seen once. Own cell plus the
     cell above, and the three cells of the next column, are each one run of
     consecutive keys, so two ``searchsorted`` spans per point cover them.
-    The spans are expanded and tested a block at a time to bound memory.
+    Each kind of span is expanded and tested a block at a time, and the
+    blocks' hits are kept as they are, to bound memory.
     """
     n, r = len(pts), float(r)
     if n < 2:
-        return np.empty((0, 2), dtype=np.min_scalar_type(n))
+        return []
     lo = pts.min(axis=0)
     # at most 2**20 cells a side, so the int64 key cannot overflow; the
     # 2**-20 margin keeps two points whose rounded distance passes the test
@@ -84,20 +86,24 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
     keys = keys[order]
     xs, ys = pts[order, 0], pts[order, 1]
     here = np.arange(n)
-    src = np.concatenate((here, here))
-    first = np.concatenate((here + 1, np.searchsorted(keys, keys + ny - 1)))
-    end = np.concatenate((np.searchsorted(keys, keys + 2),
-                          np.searchsorted(keys, keys + ny + 2)))
+
+    def spans():
+        # own cell and the one above, then the three cells of the next column
+        yield here + 1, np.searchsorted(keys, keys + 2)
+        yield np.searchsorted(keys, keys + ny - 1), np.searchsorted(keys, keys + ny + 2)
+
     found = []
-    for s in range(0, 2 * n, _SPANS_PER_BLOCK):
-        block = slice(s, s + _SPANS_PER_BLOCK)
-        counts = end[block] - first[block]
-        a = np.repeat(src[block], counts)
-        b = np.arange(len(a)) + np.repeat(first[block] - (np.cumsum(counts) - counts), counts)
-        dx, dy = xs[a] - xs[b], ys[a] - ys[b]
-        hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
-        found.append(np.stack((order[a[hit]], order[b[hit]]), axis=1))
-    return np.concatenate(found)
+    for first, end in spans():
+        for s in range(0, n, _SPANS_PER_BLOCK):
+            block = slice(s, s + _SPANS_PER_BLOCK)
+            counts = end[block] - first[block]
+            a = np.repeat(here[block], counts)
+            b = np.arange(len(a)) + np.repeat(first[block] - (np.cumsum(counts) - counts), counts)
+            dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+            hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
+            found.append((order[a[hit]], order[b[hit]]))
+        del first, end
+    return found
 
 
 class TopologyGraph:
@@ -120,17 +126,21 @@ class TopologyGraph:
         outside = sorted(s for s in self._spares if s not in self)
         if outside:
             raise ValueError(f"spare {outside[0]} is not a node id in [0, {n})")
-        pairs = _pairs_within(pts, radio_range)
+        found = _pairs_within(pts, radio_range)
         # each pair in both directions as one key, row * n + column, so one
         # sort groups the pairs by row and orders each row by neighbour.
-        # Filled in place, so only the pairs and the keys are ever live, and
-        # in the narrowest dtype that holds n * n (uint32 up to 65,535 nodes)
-        m = len(pairs)
+        # Filled in place from the blocks of hits, each let go once written,
+        # and in the narrowest dtype that holds n * n (uint32 up to 65,535 nodes)
+        m = sum(len(u) for u, _ in found)
         keys = np.empty(2 * m, dtype=np.min_scalar_type(n * n))
-        for half, (u, v) in ((keys[:m], pairs.T), (keys[m:], pairs.T[::-1])):
-            np.multiply(u, n, out=half, dtype=keys.dtype)
-            half += v
-        del pairs
+        at = 0
+        while found:
+            u, v = found.pop()
+            for half, (x, y) in ((keys[at:at + len(u)], (u, v)),
+                                 (keys[m + at:m + at + len(u)], (v, u))):
+                np.multiply(x, n, out=half, dtype=keys.dtype)
+                half += y
+            at += len(u)
         keys.sort()
         # row u's keys are the ones in [u * n, (u + 1) * n)
         self._indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)

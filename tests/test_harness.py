@@ -187,9 +187,8 @@ def transfer_state(rep):
         retransmissions=rep.retransmissions, path_delays=rep.path_delays,
         completion_time=rep.completion_time, failed_paths=rep.failed_paths,
         fault_records=rep.fault_records, fabric_nodes=rep.fabric_nodes,
-        path_comm={p: (k.value, k._c) for p, k in ledger.path_comm.items()},
-        nodes={i: (led.initial, led.busy, led.tx.value, led.tx._c, led.rx.value,
-                   led.rx._c, led.idle.value, led.idle._c)
+        path_comm={p: dict(counts) for p, counts in ledger.path_comm.items()},
+        nodes={i: (led.initial, dict(led.busy), dict(led.tx), dict(led.rx), led.idle)
                for i, led in ledger.nodes.items()})
 
 

@@ -344,8 +344,11 @@ energy.k_r 0.01
     def test_other_mode_key_reports_field_and_line(self, base, line):
         text = getattr(self, base)
         e = self.err(text + line + "\n")
-        assert (e.field, e.line) == (line.split()[0], len(text.splitlines()) + 1)
-        assert "does not apply" in str(e)
+        key, at = line.split()[0], len(text.splitlines()) + 1
+        assert (e.field, e.line) == (key, at)
+        mode = "a field" if base == "RANGE_BASE" else "an explicit"
+        assert str(e) == (f"field {key!r} does not apply to {mode} scenario "
+                          f"(field {key!r}, line {at})")
 
 
 class TestSynthesizedTopology:

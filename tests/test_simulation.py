@@ -339,7 +339,7 @@ class TestAccounting:
         assert 6 not in rep.fabric_nodes
         assert 6 not in rep.ledger.nodes
         # the source idles for the 5-hop round minus its one hop on air
-        assert rep.ledger.nodes[0].idle.value == pytest.approx(
+        assert rep.ledger.nodes[0].idle == pytest.approx(
             409.6e-6 * (5 * TAU - TAU), rel=1e-9)
 
     def test_busy_time_subtracted_from_idle(self, bench_scenario_text):
@@ -347,7 +347,7 @@ class TestAccounting:
         dist = allocate(Scheme.SINGLE_PATH, cfg.ep, profiles, 100)
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
                            config=SimConfig(idle_power=409.6e-6))
-        idle = math.fsum(rep.ledger.nodes[n].idle.value for n in rep.fabric_nodes)
+        idle = math.fsum(rep.ledger.nodes[n].idle for n in rep.fabric_nodes)
         assert idle == pytest.approx(0.237568, rel=1e-6)
 
     def test_residual_write_back_consistent(self):
