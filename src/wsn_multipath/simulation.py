@@ -172,7 +172,8 @@ class EnergyLedger:
     def __init__(self, g: TopologyGraph | None = None):
         self._g = g
         self.nodes: dict[int, NodeLedger] = {}
-        self.path_comm: dict[int, dict[float, int]] = defaultdict(lambda: defaultdict(int))
+        self.path_comm: dict[int, dict[float, int]] = defaultdict(
+            lambda: defaultdict(int))
 
     def ensure(self, node_id: int) -> NodeLedger:
         led = self.nodes.get(node_id)
@@ -839,7 +840,7 @@ class _Engine:
                 horizon = min(horizon, item[0])
         if horizon <= now:
             return False
-        walks, lines = [], []
+        walks, line_walks = [], []
         for pr in running:
             items = pending[pr.path_id]
             if len(items) != 1 or items[0][2].kind not in _CLEAN_HOPS:
@@ -861,10 +862,10 @@ class _Engine:
             # a pending arrival will start
             entry = (-t0, not sending, seq0)
             if self.config.trace:
-                lines.append(self._trace_walk(pr, s, a, horizon, entry, sending, seq0))
+                line_walks.append(self._trace_walk(pr, s, a, horizon, entry, sending, seq0))
             walks.append((pr, item, sending, entry, s, a))
-        if lines:  # every path's lines in pop order, read before the walks run
-            self.trace.extend(line for _, line in merge(*lines))
+        if line_walks:  # every path's lines in pop order, before the walks run
+            self.trace.extend(line for _, line in merge(*line_walks))
         pushes = []
         advanced = False
         for pr, item, sending, entry, s, a in walks:
