@@ -6,6 +6,8 @@ Runs a 12-packet transfer over a single 5-hop path, kills a relay node
 mid-stream, and traces how the transfer notices, recovers and finishes.
 """
 
+import io
+
 from wsn_multipath import (
     FaultEvent,
     FaultScript,
@@ -40,14 +42,15 @@ dist = allocate(Scheme.ADAPTIVE, cfg.ep, profiles, cfg.packets)
 # runs out, asks the field for the nearest spare, and the spare assumes
 # the dead node's place on the route.
 faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
+trace = io.StringIO()  # the engine writes each event's line as it happens
 rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                   config=SimConfig(trace=True))
+                   config=SimConfig(trace=trace))
 
 print(rep.to_text())
 
 # The trace shows the retries, the expired timer and the resumed flow.
 print("events around the failure:")
-for line in rep.trace_lines:
+for line in trace.getvalue().splitlines():
     t = float(line.split()[0])
     if 0.04 <= t <= 0.30:
         print(" ", line)

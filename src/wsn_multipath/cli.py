@@ -53,10 +53,8 @@ def _cmd_run(args) -> int:
         cfg.packets = args.packets
     if args.schemes:
         cfg.schemes = list(dict.fromkeys(args.schemes))
-    if args.trace:
-        cfg.trace = True
-    rep = run_comparison(cfg)
     out_dir = args.out or cfg.out_dir
+    rep = run_comparison(cfg, trace_dir=out_dir if args.trace else None)
     files = emit_outputs(rep, out_dir)
     for r in rep.runs:
         print(f"{r.label}: delay={r.overall_delay:.10g} s, "

@@ -13,12 +13,21 @@ sensing while the slowest scheme is still draining, so a faster transfer must
 not be credited for sensing time it did not save. Idle is priced by the
 engine over each scheme's own round (the radio can sleep once the transfer
 is done).
+
+A traced comparison streams each scheme's event trace to
+``trace_<scheme>.txt`` in the output directory as the engine makes the lines
+(``SimConfig.trace`` is the sink), so no trace is held in memory. A file is
+written under a temporary name and takes its own only once the whole
+comparison has run; a scheme without a line leaves no file, and a comparison
+that raises leaves no trace, nor a directory it made.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import shutil
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .distribution import Distribution, Scheme, allocate, verify_edp_bound
@@ -70,6 +79,7 @@ class ComparisonReport:
     energy_ordering_ok: bool | None = None
     closeness_ok: bool | None = None
     warnings: list[str] = field(default_factory=list)
+    trace_files: list[str] = field(default_factory=list)
 
     def run_for(self, scheme: Scheme) -> SchemeRun:
         for r in self.runs:
@@ -83,15 +93,65 @@ class ComparisonReport:
         return all(v is not False for v in verdicts)
 
 
-def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
+class _TraceFiles:
+    """The trace files of one comparison in ``out_dir``, or none when it is
+    None. Each is written as ``trace_<label>.txt.part``; on leaving, a file
+    with lines takes its final name and an empty one is removed, or, when
+    the comparison raised, every file goes, with the directory if it was made
+    here."""
+
+    def __init__(self, out_dir: str | None):
+        self.out_dir = out_dir
+        self.made: str | None = None    # top directory made here
+        self.names: list[str] = []
+        self.kept: list[str] = []
+
+    def __enter__(self) -> _TraceFiles:
+        if self.out_dir is not None:
+            head = os.path.abspath(self.out_dir)
+            while not os.path.isdir(head):
+                self.made, head = head, os.path.dirname(head)
+            os.makedirs(self.out_dir, exist_ok=True)
+        return self
+
+    def open(self, label: str):
+        """A context giving the scheme's sink: a file, or None untraced."""
+        if self.out_dir is None:
+            return nullcontext()
+        fn = os.path.join(self.out_dir, f"trace_{label}.txt")
+        sink = open(fn + ".part", "w", encoding="utf-8", newline="\n")
+        self.names.append(fn)
+        return sink
+
+    def __exit__(self, exc_type, *_) -> None:
+        for fn in self.names:
+            if exc_type is None and os.path.getsize(fn + ".part"):
+                os.replace(fn + ".part", fn)
+                self.kept.append(fn)
+            else:
+                os.remove(fn + ".part")
+        if exc_type is not None and self.made is not None:
+            shutil.rmtree(self.made)
+
+
+def run_comparison(cfg: ScenarioConfig, trace_dir: str | None = None) -> ComparisonReport:
     """Allocate, simulate and account each requested scheme.
 
     Ordering verdicts (adaptive fastest, single path cheapest, adaptive
     energy closer to single path than to equal split) are only produced
     when all three schemes were requested; all three fail when any scheme
     dropped packets. Every scheme that dropped packets gets a warning,
-    whichever schemes ran.
+    whichever schemes ran. With ``trace_dir``, each scheme's event trace is
+    streamed to ``trace_<label>.txt`` there, and ``trace_files`` lists the
+    files written.
     """
+    with _TraceFiles(trace_dir) as traces:
+        rep = _compare(cfg, traces)
+    rep.trace_files = traces.kept
+    return rep
+
+
+def _compare(cfg: ScenarioConfig, traces: _TraceFiles) -> ComparisonReport:
     runs: list[SchemeRun] = []
     warnings: list[str] = []
     fabric_count = 0
@@ -108,12 +168,13 @@ def run_comparison(cfg: ScenarioConfig) -> ComparisonReport:
         if scheme is Scheme.ADAPTIVE:
             bound = verify_edp_bound(cfg.ep, profiles, dist)
             warnings.extend(f"adaptive: {w}" for w in bound.warnings)
-        sim_cfg = SimConfig(max_attempts=cfg.max_attempts,
-                            control_bits=cfg.control_bits,
-                            idle_power=cfg.idle_power, trace=cfg.trace)
-        # the graph copy is made in the call so it is freed when the run ends
-        report = run_transfer(pristine.copy(), table, dist, cfg.ep, cfg.link,
-                              faults=cfg.faults, config=sim_cfg)
+        with traces.open(_SCHEME_LABEL[scheme]) as sink:
+            sim_cfg = SimConfig(max_attempts=cfg.max_attempts,
+                                control_bits=cfg.control_bits,
+                                idle_power=cfg.idle_power, trace=sink)
+            # the graph copy is made in the call so it is freed when the run ends
+            report = run_transfer(pristine.copy(), table, dist, cfg.ep, cfg.link,
+                                  faults=cfg.faults, config=sim_cfg)
         fabric_count = max(fabric_count, len(report.fabric_nodes))
         runs.append(SchemeRun(
             scheme=scheme,
@@ -174,7 +235,9 @@ def _path_ids(rep: ComparisonReport) -> list[int]:
 def emit_outputs(rep: ComparisonReport, out_dir: str) -> list[str]:
     """Write distribution.csv, delays.csv, energy.csv and report.txt.
 
-    Output is byte-stable: same report, same bytes. Returns the file paths.
+    Output is byte-stable: same report, same bytes. Returns the paths of the
+    comparison's output files: these four, then the trace files
+    ``run_comparison`` wrote.
     """
     os.makedirs(out_dir, exist_ok=True)
     labels = [r.label for r in rep.runs]
@@ -238,12 +301,4 @@ def emit_outputs(rep: ComparisonReport, out_dir: str) -> list[str]:
         for w in rep.warnings:
             fh.write(f"warning {w}\n")
     written.append(fn)
-
-    for r in rep.runs:
-        if not r.transfer.trace_lines:
-            continue
-        fn = os.path.join(out_dir, f"trace_{r.label}.txt")
-        with open(fn, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(r.transfer.trace_lines) + "\n")
-        written.append(fn)
-    return written
+    return written + rep.trace_files

@@ -76,7 +76,6 @@ class ScenarioConfig:
     max_attempts: int = 5
     control_bits: float = 100.0
     idle_power: float = 0.0
-    trace: bool = False
     initial_energy: float = 23760.0
     background_nodes: int = 0
     out_dir: str = "out"

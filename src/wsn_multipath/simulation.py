@@ -44,26 +44,32 @@ arrival, injection and delivery counts as one charge per unit. At the
 window's end each in-flight ``PacketArrive`` goes back on the heap and its
 timer's key is taken, in the order stepping would make them, since same-time
 events of different paths pop in push order; stale events (``_stale``), which
-the main loop would drop unhandled, are dropped. The result is bit-identical
-to stepping.
+the main loop would drop unhandled, are dropped. Paths of one tau whose hop
+times have come to coincide keep the order they had where their times met
+(``_pop_order``), and a window whose paths of two taus would tie deeper than
+its keys tell is stepped instead. The result is bit-identical to stepping.
 
-``SimConfig.trace`` decides only whether lines are written, not how the engine
-runs: a stepped pop writes its event's line, and a window writes the lines of
-the sends and arrivals it consumes, merged across paths in the order stepping
-would pop them, before it changes any path. Windows start only after every
-earlier event has popped, so the trace lists each event the engine acts on,
-in pop order; an event no handler would act on is skipped in both modes and
-has no line.
+``SimConfig.trace`` is the run's line sink, a text writable or None; it
+decides only whether lines are written, not how the engine runs. A stepped pop
+writes its event's line, and a window writes the lines of the sends and
+arrivals it consumes, merged across paths in the order stepping would pop
+them, before it changes any path. No line is held once written. Windows start
+only after every earlier event has popped, so the trace lists each event the
+engine acts on, in pop order; an event no handler would act on is skipped in
+both modes and has no line.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import defaultdict
-from heapq import merge
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cmp_to_key
+from heapq import merge
+from typing import TextIO
 
 from .model import (EnergyParams, LinkParams, PathProfile, per_hop_delay,
                     rx_energy_per_bit, tx_energy_per_bit)
@@ -95,8 +101,9 @@ class EventKind(Enum):
 
 
 # a trace line: the time in _TRACE_TIME's format, the event kind, then the
-# from, to, packet and path ids, "-" for an id the event lacks
-_TRACE_LINE = "{} {} {} {} {} {}"
+# from, to, packet and path ids, "-" for an id the event lacks; each line ends
+# in a newline, so a sink takes lines as they are
+_TRACE_LINE = "{} {} {} {} {} {}\n"
 _TRACE_TIME = ".10g"
 
 
@@ -273,7 +280,7 @@ class SimConfig:
     max_attempts: int = 5
     control_bits: float = 100.0
     idle_power: float = 0.0
-    trace: bool = False
+    trace: TextIO | None = None  # where trace lines go as they are made
 
 
 _RUNNING, _FAILED, _DONE = "running", "failed", "done"
@@ -331,8 +338,13 @@ class TransferReport:
     failed_paths: list[int] = field(default_factory=list)
     fault_records: list[FaultRecord] = field(default_factory=list)
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
-    trace_lines: list[str] = field(default_factory=list)
     fabric_nodes: tuple[int, ...] = ()
+
+    @property
+    def trace_lines(self) -> list[str]:
+        # only reader: bench/tracer.py's on_transfer; the lines themselves go
+        # to SimConfig.trace as they are made
+        return []
 
     @property
     def total_delivered(self) -> int:
@@ -368,6 +380,39 @@ class TransferReport:
         return "\n".join(out) + "\n"
 
 
+def _chain_at(t: float, tau: float, target: float) -> float:
+    """The value of the ``t + tau`` chain from ``t`` nearest ``target``."""
+    prev = t
+    while t < target:
+        prev, t = t, t + tau
+    return prev if target - prev < t - target else t
+
+
+def _pop_order(entries: dict[int, tuple]):
+    """A comparator of a window's end pushes, ``(key, path, timer)``: by key,
+    and on equal keys by the order of the two paths, which are then in step.
+
+    Equal keys belong to paths of one tau whose hop times coincide from some
+    point on; from there on their events pop in one fixed order, since
+    ``t + tau`` maps equal times to equal times. ``entries`` holds each
+    path's ``(t0, not sending, seq0)`` as it entered the window. At the later
+    of the two entry times ``t``, the path whose hop chain meets ``t``
+    earlier pops first: rounding is monotone, so it stays ahead until the
+    times coincide. A chain that meets ``t`` exactly follows the event
+    pending at ``t``, and two events pending at ``t`` pop as they entered.
+    """
+    def meets(e: tuple, tau: float, t: float) -> tuple:
+        return (t, 0) + e[1:] if e[0] == t else (_chain_at(e[0], tau, t), 1)
+
+    def order(x, y) -> int:
+        if x[0] != y[0]:
+            return -1 if x[0] < y[0] else 1
+        ex, ey = entries[x[1].path_id], entries[y[1].path_id]
+        t, tau = max(ex[0], ey[0]), x[1].profile.tau
+        return -1 if meets(ex, tau, t) < meets(ey, tau, t) else 1
+    return cmp_to_key(order)
+
+
 class _Engine:
     def __init__(self, g: TopologyGraph, table: RoutingTable, dist: Distribution,
                  ep: EnergyParams, link: LinkParams, faults: FaultScript | None,
@@ -397,7 +442,6 @@ class _Engine:
         self.seq = 0
         self.ledger = EnergyLedger(g)
         self.records: list[FaultRecord] = []
-        self.trace: list[str] = []
         self.fabric: set[int] = set()
         for pr in self.paths.values():
             self.fabric.update(pr.nodes)
@@ -700,23 +744,26 @@ class _Engine:
         return horizon
 
     def _advance(self, pr: _PathRun, s: float, a: float,
-                 horizon: float) -> tuple[int, float]:
-        """Complete every hop of ``pr`` that arrives before ``horizon``.
+                 horizon: float) -> tuple[int, int, float, float, float]:
+        """Count the hops of ``pr`` that arrive before ``horizon``; changes
+        nothing.
 
         The hop in flight was sent at ``s`` and arrives at ``a``; later hop
         times are built by the same ``t + tau`` chain stepping builds. Returns
-        the number of arrivals and the send time of the hop now in flight (or
-        of the last one).
+        the number of arrivals, the packets they delivered, the send time of
+        the hop now in flight (or of the last one), the send time of the last
+        arrival's hop, and the time of the last delivery.
         """
         tau = pr.profile.tau
         hops = pr.hops
         n = hops - pr.hop            # arrivals left for the packet in flight
         left = pr.total - pr.sent    # packets not yet injected
         k = delivered = 0
-        last = 0.0
+        p = last = 0.0
         while True:
             n0 = n
             while n and a < horizon:
+                p = s
                 s = a
                 a += tau
                 n -= 1
@@ -728,24 +775,20 @@ class _Engine:
             if delivered > left:
                 break
             n = hops
-        if k:
-            self._apply_hops(pr, k, delivered, s, last)
-        return k, s
+        return k, delivered, s, p, last
 
     def _trace_walk(self, pr: _PathRun, s: float, a: float, horizon: float,
-                    entry: tuple, sending: bool, seq0: int):
-        """The lines of the sends and arrivals ``_advance`` will consume, as
-        ``(key, line)``; the keys sort the events of all paths in the order
-        stepping would pop them. It reads the path's state and changes none.
+                    sending: bool, seq0: int, ranks):
+        """The lines of the sends and arrivals ``_advance`` counts, as ``(key,
+        line)``; the key is the event's ``(time, seq)`` heap key in stepping.
+        It reads the path's state and changes none.
 
         The first event is the pending one, sent at ``s`` if ``sending``,
-        else arriving at ``a``, with seq ``seq0``. It keys ``(time, -inf,
-        seq0)``: before any event the window makes at its time, and among
-        other pending events in heap order. An arrival made in the window keys
-        ``(time, send time) + entry``. A send made in the window keys ``(time,
-        time, send time of the arrival that starts it) + entry``: after every
-        arrival at its time, whose send time is earlier, and in the order of
-        the arrivals that start them.
+        else arriving at ``a``, and keeps its seq ``seq0``. Every later event
+        takes the next of the ``ranks`` that all paths' walks share, drawn
+        when the merge has taken the event that makes it, as stepping takes
+        the next seq when that event pops. So a merge of every path's walk
+        lists the events in stepping's pop order.
         """
         tau = pr.profile.tau
         hops = pr.hops
@@ -758,14 +801,13 @@ class _Engine:
         hop, pkt = pr.hop, pr.pkt
         left = pr.total - pr.sent
         delivered = 0
-        key = (s if sending else a, -math.inf, seq0)
+        rank = seq0
         if sending:
-            yield key, sends[hop](format(s, _TRACE_TIME), pkt)
-            key = (a, s) + entry
+            yield (s, rank), sends[hop](format(s, _TRACE_TIME), pkt)
+            rank = next(ranks)
         while a < horizon:
             at = format(a, _TRACE_TIME)
-            yield key, arrives[hop](at, pkt)
-            prev, s = s, a
+            yield (a, rank), arrives[hop](at, pkt)
             hop += 1
             if hop == hops:
                 delivered += 1
@@ -773,9 +815,9 @@ class _Engine:
                     break
                 hop = 0
                 pkt += 1
-            yield (a, a, prev) + entry, sends[hop](at, pkt)
+            yield (a, next(ranks)), sends[hop](at, pkt)
             a += tau
-            key = (a, s) + entry
+            rank = next(ranks)
 
     def _apply_hops(self, pr: _PathRun, k: int, delivered: int, s: float,
                     last: float):
@@ -840,53 +882,53 @@ class _Engine:
                 horizon = min(horizon, item[0])
         if horizon <= now:
             return False
-        walks, line_walks = [], []
-        for pr in running:
-            items = pending[pr.path_id]
-            if len(items) != 1 or items[0][2].kind not in _CLEAN_HOPS:
-                return False
-            item = t0, seq0, first = items[0]
-            sending = first.kind is EventKind.PACKET_SEND
-            if sending and t0 >= horizon:
-                kept.append(item)
-                continue
-            tau = pr.profile.tau
-            s, a = (t0, t0 + tau) if sending else (pr.hop_start, t0)
-            # the sort keys order the lines and pushes as stepping would
-            # make them: by the time of the pop that makes them, arrivals
-            # before the sends they start; events that then share a time
-            # belong to paths with one tau moving in step, ordered by how
-            # each path entered the window. A path entering later had its
-            # event on the heap before an in-step path's event at that time
-            # was pushed; at one entry time a pending send precedes the send
-            # a pending arrival will start
-            entry = (-t0, not sending, seq0)
-            if self.config.trace:
-                line_walks.append(self._trace_walk(pr, s, a, horizon, entry, sending, seq0))
-            walks.append((pr, item, sending, entry, s, a))
-        if line_walks:  # every path's lines in pop order, before the walks run
-            self.trace.extend(line for _, line in merge(*line_walks))
-        pushes = []
-        advanced = False
-        for pr, item, sending, entry, s, a in walks:
-            k, s = self._advance(pr, s, a, horizon)
-            if k:
-                if pr.state == _RUNNING:
-                    pushes.append(((s, 0) + entry, pr))  # its timer's key
-                    pushes.append(((s, 1) + entry, pr))  # its arrival
-            elif sending:
-                pushes.append(((s, 1) + entry, pr))
-            else:
-                kept.append(item)
-                continue
-            advanced = True
-        if not advanced:
+        if any(len(items) != 1 or items[0][2].kind not in _CLEAN_HOPS
+               for items in pending.values()):
             return False
+        walks, pushes, entries = [], [], {}
+        for pr in running:
+            item = t0, seq0, first = pending[pr.path_id][0]
+            sending = first.kind is EventKind.PACKET_SEND
+            s, a = (t0, t0 + pr.profile.tau) if sending else (pr.hop_start, t0)
+            k, delivered, end, p, last = self._advance(pr, s, a, horizon)
+            if not k and not (sending and t0 < horizon):
+                kept.append(item)
+                continue
+            walks.append((pr, s, a, sending, seq0, k, delivered, end, last))
+            entries[pr.path_id] = (t0, not sending, seq0)
+            if delivered > pr.total - pr.sent:
+                continue  # done: nothing left in flight
+            # push keys are the heap keys of the pops that make the pushes:
+            # the arrival at ``end`` reserves the timer of the hop it starts,
+            # and the send at ``end`` pushes that hop's arrival. A pending
+            # event keys (time, -inf, seq), before any the window makes at its
+            # time; one the window makes keys (time, its maker's key...),
+            # cut after the maker's time
+            pend = (end, -math.inf, seq0)
+            arrival_key = pend if k == 1 and not sending else (end, p)
+            if k:
+                pushes.append((arrival_key, pr, True))
+            pushes.append(((end,) + arrival_key if k else pend, pr, False))
+        if not walks:
+            return False
+        taus: dict[tuple, float] = {}
+        for key, pr, _ in pushes:
+            if taus.setdefault(key, pr.profile.tau) != pr.profile.tau:
+                return False  # paths of two taus tie deeper than the keys go
+        pushes.sort(key=_pop_order(entries))
+        if self.config.trace is not None:
+            # every path's lines in pop order, before any path changes
+            ranks = itertools.count(self.seq)
+            self.config.trace.writelines(line for _, line in merge(*(
+                self._trace_walk(pr, s, a, horizon, sending, seq0, ranks)
+                for pr, s, a, sending, seq0, *_ in walks)))
+        for pr, *_, k, delivered, end, last in walks:
+            if k:
+                self._apply_hops(pr, k, delivered, end, last)
         kept.sort()
         self.heap[:] = kept
-        pushes.sort(key=lambda p: p[0])
-        for key, pr in pushes:
-            if key[1] == 0:
+        for _, pr, timer in pushes:
+            if timer:
                 self._reserve_timer(pr)
             else:
                 self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
@@ -903,6 +945,7 @@ class _Engine:
             if pr.total > 0:
                 self._inject(0.0, pr)
         last_key = (-1.0, -1)
+        trace = self.config.trace
         handlers = {EventKind.PACKET_SEND: self._on_send,
                     EventKind.PACKET_ARRIVE: self._on_arrive,
                     EventKind.BEACON_SEND: self._on_beacon_send,
@@ -922,8 +965,8 @@ class _Engine:
             last_key = (time, seq)
             if self._stale(ev):
                 continue
-            if self.config.trace:
-                self.trace.append(ev.trace_line())
+            if trace is not None:
+                trace.write(ev.trace_line())
             if ev.kind is EventKind.FAULT_TRIGGER:
                 self._on_fault_trigger(ev)
             else:
@@ -951,7 +994,6 @@ class _Engine:
         if not math.isfinite(report.completion_time):
             raise ValueError("the transfer's completion time overflows")
         report.fault_records = self.records
-        report.trace_lines = self.trace
         report.fabric_nodes = tuple(sorted(self.fabric))
         # fabric radios idle for the round minus their time on air
         for nid in report.fabric_nodes:

@@ -132,6 +132,18 @@ class TestRun:
         main(["run", bench_path, "--out", str(tmp_path), "--schemes", "3"])
         assert not list(tmp_path.glob("trace_*.txt"))
 
+    def test_trace_without_lines_writes_no_file(self, bench_path, tmp_path, capsys):
+        # with no packets no event gets a line, so no scheme leaves a trace
+        runs = []
+        for args in ([], ["--trace"]):
+            out_dir = tmp_path / f"out{len(runs)}"
+            code = main(["run", bench_path, "--out", str(out_dir), "--packets", "0", *args])
+            out = capsys.readouterr().out.replace(str(out_dir), "OUT")
+            runs.append((code, out, {f.name: f.read_bytes() for f in out_dir.iterdir()}))
+        assert runs[1] == runs[0]
+        assert sorted(runs[0][2]) == ["delays.csv", "distribution.csv", "energy.csv",
+                                      "report.txt"]
+
 
 class TestBadFaultTarget:
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -175,6 +187,25 @@ class TestOverflow:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert quantity in err[0]
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("values", [{"paths.tau": "1e308"}, {"sim.idle_power": "1e308"}])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_traced_run_leaves_no_trace(self, bench_path, tmp_path, capsys, values,
+                                        existing):
+        # both raise after the first scheme's run has streamed its lines
+        kept = [line for line in Path(bench_path).read_text().splitlines()
+                if line.partition(" ")[0] not in values]
+        scn = tmp_path / "overflow.scenario"
+        scn.write_text("\n".join(kept + [f"{k} {v}" for k, v in values.items()]) + "\n")
+        out_dir = tmp_path / "out" / "nested"
+        if existing:
+            out_dir.mkdir(parents=True)
+        assert main(["run", str(scn), "--out", str(out_dir), "--trace"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        if existing:
+            assert not list(out_dir.iterdir())
+        else:
+            assert not (tmp_path / "out").exists()
 
 
     def test_capacity_survives_an_overflowing_discriminant(self, bench_path, tmp_path,

@@ -8,6 +8,7 @@ windowed run must list the oracle's trace lines, in pop order. When the
 oracle raises, both windowed runs must raise the same message.
 """
 
+import io
 from contextlib import nullcontext
 from unittest import mock
 
@@ -36,9 +37,11 @@ from wsn_multipath.simulation import _Engine
 
 def _runs(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
     """Run one transfer traced and stepped, one traced and windowed and one
-    untraced and windowed, each on a fresh copy of ``cfg``'s network."""
+    untraced and windowed, each on a fresh copy of ``cfg``'s network. Each
+    run is ``(report or error message, graph, trace lines)``."""
     out = []
-    for stepped, trace in ((True, True), (False, True), (False, False)):
+    for stepped, traced in ((True, True), (False, True), (False, False)):
+        sink = io.StringIO() if traced else None
         g, table = build_network(cfg)
         if tweak:
             tweak(g)
@@ -51,20 +54,20 @@ def _runs(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
                                    faults=FaultScript(list(faults)),
                                    config=SimConfig(max_attempts=cfg.max_attempts,
                                                     control_bits=cfg.control_bits,
-                                                    idle_power=idle_power, trace=trace))
+                                                    idle_power=idle_power, trace=sink))
         except RuntimeError as exc:  # the oracle's own failures must recur
             rep = str(exc)
-        out.append((rep, g))
+        out.append((rep, g, sink.getvalue().splitlines() if traced else []))
     return out
 
 
 def assert_equivalent(runs):
-    (slow, g_slow), traced, untraced = runs
-    for (fast, g_fast), with_lines in ((traced, True), (untraced, False)):
+    (slow, g_slow, slow_lines), traced, untraced = runs
+    for (fast, g_fast, lines), with_lines in ((traced, True), (untraced, False)):
         if isinstance(slow, str) or isinstance(fast, str):
             assert fast == slow
         else:
-            assert fast.trace_lines == (slow.trace_lines if with_lines else [])
+            assert lines == (slow_lines if with_lines else [])
             assert_same_run(slow, g_slow, fast, g_fast)
 
 
@@ -254,10 +257,10 @@ class TestBeaconPartnerDies:
         cfg = parse_scenario(text)
         runs = _runs(cfg, _scheme(scheme, cfg), cfg.faults.events)
         assert_equivalent(runs)
-        rep, _ = runs[0]
+        rep, _, lines = runs[0]
         assert not isinstance(rep, str), rep
         # the partner never replies, so the sender beacons its next neighbour
-        beacons = [line.split()[2:4] for line in rep.trace_lines
+        beacons = [line.split()[2:4] for line in lines
                    if line.split()[1] == "BeaconSend"]
         assert beacons[:2] == [[sender, partner], [sender, beacons[1][1]]]
         assert beacons[1][1] != partner
@@ -297,9 +300,43 @@ class TestBeaconPartnerDies:
             faults.append(FaultEvent(time=0.05, kind="node_fail", target=2))
         runs = _runs(cfg, lambda profiles: dist, faults)
         assert_equivalent(runs)
-        rep, _ = runs[0]
+        rep = runs[0][0]
         assert [(fr.time, fr.case, fr.failed_node, fr.initiator, fr.note)
                 for fr in rep.fault_records] == [(0.06, *record)]
+
+
+# two recoveries re-time paths 2 and 4 onto hop times that differ by rounding
+# only, until both arrive at the sink at 0.286; from there the path whose
+# hop times were earlier pops first, whatever order the paths entered in
+IN_STEP_40 = """
+field.nodes 40
+field.area 60 60
+field.radio_range 24
+field.seed 2
+field.redundant_fraction 0
+field.source 0
+field.sink 1
+packets 10
+link.bit_rate 50000
+energy.e_t 0.128
+energy.e_r 0.1024
+energy.k_r 0.024
+sim.idle_power 409.6e-6
+fault node_fail 0.0 10
+fault node_fail 0.125 4
+"""
+
+
+def test_paths_falling_in_step_after_recoveries():
+    cfg = parse_scenario(IN_STEP_40)
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=10,
+                        allocations=((2, 5), (4, 5)))
+    runs = _runs(cfg, lambda profiles: dist, cfg.faults.events,
+                 tweak=lambda g: g._spares.update({29, 30}))
+    assert_equivalent(runs)
+    lines = runs[0][2]
+    assert lines[62:64] == ["0.286 PacketArrive 0 29 9 4", "0.286 PacketArrive 0 30 4 2"]
+    assert [fr.replacement for fr in runs[0][0].fault_records] == [29, 30]
 
 
 @pytest.mark.parametrize("hops, taus, alloc", [
@@ -321,7 +358,7 @@ def test_shared_ends_sum_paths_in_event_order(hops, taus, alloc):
     runs = _runs(cfg, lambda profiles: dist)
     assert_equivalent(runs)
     if alloc == (0, 0, 8, 2):
-        assert [rep.ledger.nodes[0].idle for rep, _ in runs] == [0.0] * 3
+        assert [rep.ledger.nodes[0].idle for rep, *_ in runs] == [0.0] * 3
 
 
 def test_same_time_timers_keep_their_push_order():
@@ -339,7 +376,7 @@ def test_same_time_timers_keep_their_push_order():
                         allocations=tuple(enumerate(alloc, start=1)))
     runs = _runs(cfg, lambda profiles: dist)
     assert_equivalent(runs)
-    for rep, _ in runs:
+    for rep, *_ in runs:
         assert [(fr.time, fr.path_id, fr.initiator, fr.note)
                 for fr in rep.fault_records] == [
             (0.4, 1, 2, "source/sink cannot be replaced"),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -87,13 +88,30 @@ class TestEmitOutputs:
 
     def test_trace_files_when_enabled(self, bench_scenario_text, tmp_path):
         cfg = parse_scenario(bench_scenario_text)
-        cfg.trace = True
-        files = emit_outputs(run_comparison(cfg), str(tmp_path))
-        names = {os.path.basename(f) for f in files}
-        assert {"trace_single_path.txt", "trace_equal_split.txt",
-                "trace_adaptive.txt"} <= names
+        rep = run_comparison(cfg, trace_dir=str(tmp_path))
+        assert [os.path.basename(f) for f in rep.trace_files] == [
+            "trace_single_path.txt", "trace_equal_split.txt", "trace_adaptive.txt"]
+        # the traces are all the comparison leaves; emit_outputs adds the rest
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(f) for f in rep.trace_files)
+        assert emit_outputs(rep, str(tmp_path))[4:] == rep.trace_files
         first = (tmp_path / "trace_single_path.txt").read_text().splitlines()[0]
         assert first.split()[1:] == ["PacketSend", "0", "31", "0", "3"]
+
+    def test_traced_run_holds_no_trace(self, bench_scenario_text, tmp_path):
+        # 1,000 packets make ~53k lines (~3 MB); streamed, they add only the
+        # file buffers to the untraced run's peak
+        cfg = parse_scenario(bench_scenario_text)
+        cfg.packets = 1000
+        peaks = []
+        for trace_dir in (None, tmp_path / "traced"):
+            tracemalloc.start()
+            try:
+                emit_outputs(run_comparison(cfg, trace_dir=trace_dir), str(tmp_path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20, peaks
 
     def test_distribution_csv(self, bench_report, tmp_path):
         emit_outputs(bench_report, str(tmp_path))

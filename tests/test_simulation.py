@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 
 import pytest
@@ -109,8 +110,10 @@ class TestCaseOneRecovery:
     def run(self, fail_time=0.05):
         cfg, g, table, dist = single_path_net()
         faults = FaultScript([FaultEvent(time=fail_time, kind="node_fail", target=3)])
+        trace = io.StringIO()
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                           config=SimConfig(trace=True))
+                           config=SimConfig(trace=trace))
+        self.lines = trace.getvalue().splitlines()
         return rep
 
     def test_delay_overhead(self):
@@ -144,9 +147,9 @@ class TestCaseOneRecovery:
         assert rep.total_delivered == 1
 
     def test_timer_fires_exactly_m_tau_after_expected_arrival(self):
-        rep = self.run()
-        sends = [l for l in rep.trace_lines if " PacketSend 3 4 " in l]
-        timers = [l for l in rep.trace_lines if l.split()[1] == "TimerExpire"
+        self.run()
+        sends = [l for l in self.lines if " PacketSend 3 4 " in l]
+        timers = [l for l in self.lines if l.split()[1] == "TimerExpire"
                   and l.split()[2] == "4"]
         t_send = float(sends[0].split()[0])
         t_fire = float(timers[0].split()[0])
@@ -157,8 +160,10 @@ class TestCaseTwoRecovery:
     def run(self):
         cfg, g, table, dist = single_path_net()
         faults = FaultScript([FaultEvent(time=0.05, kind="link_fail", target=(3, 4))])
+        trace = io.StringIO()
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(trace=True), faults=faults)
+                           config=SimConfig(trace=trace), faults=faults)
+        self.lines = trace.getvalue().splitlines()
         return rep
 
     def test_delay_overhead(self):
@@ -187,8 +192,8 @@ class TestCaseTwoRecovery:
         assert losers[0].note == "lost race"
 
     def test_beacon_events_traced(self):
-        rep = self.run()
-        kinds = [l.split()[1] for l in rep.trace_lines]
+        self.run()
+        kinds = [l.split()[1] for l in self.lines]
         assert "BeaconSend" in kinds
         assert "BeaconResult" in kinds
         assert "TimerExpire" in kinds
@@ -201,13 +206,12 @@ class TestTracePromise:
         # trace holds only its send and its arrival
         cfg, g, table, profiles = bench_net(bench_scenario_text)
         dist = allocate(scheme, cfg.ep, profiles, cfg.packets)
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(trace=True))
+        trace = io.StringIO()
+        run_transfer(g, table, dist, cfg.ep, cfg.link, config=SimConfig(trace=trace))
+        lines = trace.getvalue().splitlines()
         hops = {p.path_id: p.H for p in profiles}
-        assert len(rep.trace_lines) == 2 * sum(n * hops[pid]
-                                               for pid, n in dist.allocations)
-        assert {l.split()[1] for l in rep.trace_lines} == {"PacketSend",
-                                                          "PacketArrive"}
+        assert len(lines) == 2 * sum(n * hops[pid] for pid, n in dist.allocations)
+        assert {l.split()[1] for l in lines} == {"PacketSend", "PacketArrive"}
 
     @pytest.mark.parametrize("windows", [True, False])
     def test_events_no_handler_acts_on_have_no_line(self, windows, monkeypatch):
@@ -218,12 +222,14 @@ class TestTracePromise:
         traces = []
         for stale in (False, True):
             cfg, g, table, dist = single_path_net(packets=3, spares=0)
+            trace = io.StringIO()
             engine = _Engine(g, table, dist, cfg.ep, cfg.link, None,
-                             SimConfig(trace=True))
+                             SimConfig(trace=trace))
             if stale:
                 engine._push(0.01, EventKind.PACKET_SEND, node_from=0, node_to=2,
                              packet_id=0, path_id=1, instance=0)
-            traces.append(engine.run().trace_lines)
+            engine.run()
+            traces.append(trace.getvalue().splitlines())
         assert traces[1] == traces[0]
         assert len(traces[0]) == 2 * 3 * 5
 
@@ -294,16 +300,17 @@ class TestDeterminism:
         for _ in range(2):
             cfg, g, table, dist = single_path_net(packets=3)
             faults = FaultScript([FaultEvent(time=0.05, kind="link_fail", target=(3, 4))])
+            trace = io.StringIO()
             rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
-                               config=SimConfig(trace=True))
-            texts.append(rep.to_text() + "\n".join(rep.trace_lines))
+                               config=SimConfig(trace=trace))
+            texts.append(rep.to_text() + trace.getvalue())
         assert texts[0] == texts[1]
 
     def test_trace_line_shape(self):
         cfg, g, table, dist = single_path_net()
-        rep = run_transfer(g, table, dist, cfg.ep, cfg.link,
-                           config=SimConfig(trace=True))
-        first = rep.trace_lines[0].split()
+        trace = io.StringIO()
+        run_transfer(g, table, dist, cfg.ep, cfg.link, config=SimConfig(trace=trace))
+        first = trace.getvalue().splitlines()[0].split()
         assert len(first) == 6
         assert first[1] == "PacketSend"
 
@@ -391,7 +398,8 @@ class TestLazyLedgers:
         # three node_fail faults on the middle interior nodes of routes 1-3
         cfg = parse_scenario(FIELD_FAULTS)
         runs = []
-        for trace in (False, True):
+        sink = io.StringIO()
+        for trace in (None, sink):
             g, table = build_network(cfg)
             routes = table.routes
             discovered = {r.path_id: r.nodes for r in routes}
@@ -404,8 +412,8 @@ class TestLazyLedgers:
             rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
                                config=SimConfig(idle_power=cfg.idle_power, trace=trace))
             runs.append((g, initial, discovered, rep))
-        # the stepped run's trace names every beacon neighbour
-        beacons = {int(line.split()[3]) for line in runs[1][3].trace_lines
+        # the traced run's trace names every beacon neighbour
+        beacons = {int(line.split()[3]) for line in sink.getvalue().splitlines()
                    if line.split()[1] == "BeaconSend"}
         assert beacons
         for g, initial, discovered, rep in runs:
