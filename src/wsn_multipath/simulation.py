@@ -898,12 +898,13 @@ class _Engine:
             entries[pr.path_id] = (t0, not sending, seq0)
             if delivered > pr.total - pr.sent:
                 continue  # done: nothing left in flight
-            # push keys are the heap keys of the pops that make the pushes:
-            # the arrival at ``end`` reserves the timer of the hop it starts,
-            # and the send at ``end`` pushes that hop's arrival. A pending
-            # event keys (time, -inf, seq), before any the window makes at its
-            # time; one the window makes keys (time, its maker's key...),
-            # cut after the maker's time
+            # a push is ordered by the heap key of the pop that makes it: the
+            # arrival at ``end`` reserves the timer of the hop it starts, and
+            # the send at ``end`` pushes that hop's arrival. In stepping a
+            # pending event keys (time, -inf, seq), ahead of any event the
+            # window makes at its time, and an event the window makes keys
+            # (time, key of the pop that pushed it), here cut after that
+            # pop's time; _pop_order settles equal keys
             pend = (end, -math.inf, seq0)
             arrival_key = pend if k == 1 and not sending else (end, p)
             if k:

@@ -445,3 +445,33 @@ def explicit_runs(draw):
 def test_random_explicit_runs_match(case):
     cfg, dist, faults = case
     assert_equivalent(_runs(cfg, lambda profiles: dist, faults))
+
+
+@st.composite
+def in_step_runs(draw):
+    # paths of one tau whose relays fail, so recoveries re-time them onto hop
+    # times that differ by rounding only, until they coincide
+    n_paths = draw(st.integers(2, 4))
+    hops = draw(st.lists(st.integers(2, 6), min_size=n_paths, max_size=n_paths))
+    cfg = ScenarioConfig(
+        mode="explicit", packets=0, schemes=[2],
+        ep=EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024),
+        link=LinkParams(b=50000.0), hops=hops, taus=[draw(st.floats(0.001, 0.05))] * n_paths,
+        t_dist=100.0, redundant=draw(st.integers(2, 5)),
+        max_attempts=draw(st.integers(1, 5)),
+        control_bits=draw(st.sampled_from([100.0, 37.0, 450.0])))
+    alloc = tuple((j + 1, draw(st.integers(3, 25))) for j in range(n_paths))
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, allocations=alloc,
+                        total=sum(n for _, n in alloc))
+    relays = st.integers(2, 1 + sum(h - 1 for h in hops))
+    fault = st.builds(lambda t, n: FaultEvent(time=t, kind="node_fail", target=n),
+                      st.one_of(st.just(0.0), st.floats(0.0, 0.3)), relays)
+    return cfg, dist, draw(st.lists(fault, min_size=2, max_size=4))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(in_step_runs())
+def test_random_in_step_runs_match(case):
+    cfg, dist, faults = case
+    assert_equivalent(_runs(cfg, lambda profiles: dist, faults))
