@@ -25,7 +25,13 @@ have ended without a detection, the sender beacons its next alive neighbour.
 Both checks act only on a failed hop, so a hop is a send and an arrival: an
 arrival over a missing link decides the ack timeout due at that instant, and
 the receiver's timer is pushed when the hop is first seen to fail, under the
-``(time, seq)`` key it took when the hop was sent.
+key it took when the hop was sent.
+
+Events pop by the key ``(time, lane, seq)``: the lane is -1 for a scripted
+fault and the path id for any other event, and ``seq`` counts pushes. So at
+one time faults pop first, then paths in id order, each path's events in push
+order, and where two paths' events interact (a spare, a shared node's energy)
+the lower id acts first.
 
 A ledger counts charges by unit: per node, the charges of each size in joules
 and the seconds on air of each size, and per path its communication charges.
@@ -41,35 +47,30 @@ times by the same chain of ``t + tau`` additions stepping makes; a closed form
 such as ``t0 + k * H * tau`` would change the low bits and could move a hop
 across a fault scheduled on it. Each route node then takes the window's
 arrival, injection and delivery counts as one charge per unit. At the
-window's end each in-flight ``PacketArrive`` goes back on the heap and its
-timer's key is taken, in the order stepping would make them, since same-time
-events of different paths pop in push order; stale events (``_stale``), which
-the main loop would drop unhandled, are dropped. Paths of one tau whose hop
-times have come to coincide keep the order they had where their times met
-(``_pop_order``), and a window whose paths of two taus would tie deeper than
-its keys tell is stepped instead. The result is bit-identical to stepping.
+window's end each path in flight takes its timer's key and pushes its
+``PacketArrive``, as stepping would, and stale events (``_stale``), which the
+main loop would drop unhandled, are dropped. The result is bit-identical to
+stepping.
 
 ``SimConfig.trace`` is the run's line sink, a text writable or None; it
 decides only whether lines are written, not how the engine runs. A stepped pop
-writes its event's line, and a window writes the lines of the sends and
-arrivals it consumes, merged across paths in the order stepping would pop
-them, before it changes any path. No line is held once written. Windows start
-only after every earlier event has popped, so the trace lists each event the
-engine acts on, in pop order; an event no handler would act on is skipped in
-both modes and has no line.
+writes its event's line, and a window the lines of the sends and arrivals it
+consumes, in chunks and before it changes any path (``_write_window``). No
+line is held once written. Windows start only after every earlier event has
+popped, so the trace lists each event the engine acts on, in pop order; an
+event no handler would act on is skipped in both modes and has no line.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cmp_to_key
-from heapq import merge
 from typing import TextIO
+
+import numpy as np
 
 from .model import (EnergyParams, LinkParams, PathProfile, per_hop_delay,
                     rx_energy_per_bit, tx_energy_per_bit)
@@ -102,7 +103,8 @@ class EventKind(Enum):
 
 # a trace line: the time in _TRACE_TIME's format, the event kind, then the
 # from, to, packet and path ids, "-" for an id the event lacks; each line ends
-# in a newline, so a sink takes lines as they are
+# in a newline, so a sink takes lines as they are. Windows build the same
+# lines from pieces (_WindowLines)
 _TRACE_LINE = "{} {} {} {} {} {}\n"
 _TRACE_TIME = ".10g"
 
@@ -315,7 +317,7 @@ class _PathRun:
         self.hop_start = 0.0  # send time of the current hop
         self.attempt = 0
         self.instance = 0     # bumped on every fresh hop start
-        self.deadline: tuple[float, int] | None = None  # hop's timer key until pushed
+        self.deadline: tuple[float, int, int] | None = None  # hop's timer key until pushed
         self.last_recovery_instance: int | None = None
         self.unheard: int | None = None  # hop instance with one check ended unheard
         self.delivery_time = 0.0
@@ -380,37 +382,96 @@ class TransferReport:
         return "\n".join(out) + "\n"
 
 
-def _chain_at(t: float, tau: float, target: float) -> float:
-    """The value of the ``t + tau`` chain from ``t`` nearest ``target``."""
-    prev = t
-    while t < target:
-        prev, t = t, t + tau
-    return prev if target - prev < t - target else t
+# a window builds the trace lines of at most this many hops at once, so that
+# its arrays and strings stay small however long the window runs
+_TRACE_CHUNK = 2048
 
 
-def _pop_order(entries: dict[int, tuple]):
-    """A comparator of a window's end pushes, ``(key, path, timer)``: by key,
-    and on equal keys by the order of the two paths, which are then in step.
+class _WindowLines:
+    """One path's trace lines in a window, built in chunks.
 
-    Equal keys belong to paths of one tau whose hop times coincide from some
-    point on; from there on their events pop in one fixed order, since
-    ``t + tau`` maps equal times to equal times. ``entries`` holds each
-    path's ``(t0, not sending, seq0)`` as it entered the window. At the later
-    of the two entry times ``t``, the path whose hop chain meets ``t``
-    earlier pops first: rounding is monotone, so it stays ahead until the
-    times coincide. A chain that meets ``t`` exactly follows the event
-    pending at ``t``, and two events pending at ``t`` pop as they entered.
+    A unit is a hop: an arrival's line and that of the send it starts at the
+    same time, which pops right after it. A window that starts at a pending
+    send opens with that send's line alone, and the arrival that delivers
+    the path's last packet starts no send.
     """
-    def meets(e: tuple, tau: float, t: float) -> tuple:
-        return (t, 0) + e[1:] if e[0] == t else (_chain_at(e[0], tau, t), 1)
 
-    def order(x, y) -> int:
-        if x[0] != y[0]:
-            return -1 if x[0] < y[0] else 1
-        ex, ey = entries[x[1].path_id], entries[y[1].path_id]
-        t, tau = max(ex[0], ey[0]), x[1].profile.tau
-        return -1 if meets(ex, tau, t) < meets(ey, tau, t) else 1
-    return cmp_to_key(order)
+    def __init__(self, pr: _PathRun, s: float, a: float, sending: bool,
+                 k: int, done: bool):
+        self.path_id, self.tau, self.hops = pr.path_id, pr.profile.tau, pr.hops
+        # unit i holds the arrival of hop ``hop + i - first`` and the send of
+        # the next, counting on from hop ``hop`` of packet ``pkt``
+        self.hop, self.pkt, self.first = pr.hop, pr.pkt, int(sending)
+        self.units, self.done = self.first + k, done
+        self.next = s if sending else a           # the next unit's time
+        self.taken, self.times = 0, np.empty(0)   # times: built, not taken
+        links = list(zip(pr.nodes, pr.nodes[1:]))
+        self.send, self.arrive = (
+            np.array([f" {kind.value} {u} {v} " for u, v in links], dtype=object)
+            for kind in (EventKind.PACKET_SEND, EventKind.PACKET_ARRIVE))
+        self.end = f" {pr.path_id}\n"
+
+    def build(self, n: int):
+        """Build the times of the next ``n`` units not yet taken."""
+        more = min(self.units, self.taken + n) - self.taken - len(self.times)
+        if more > 0:  # accumulate adds in sequence: stepping's t + tau chain
+            steps = np.full(more + 1, self.tau)
+            steps[0] = self.next
+            with np.errstate(over="ignore"):  # past the float range: inf, as in stepping
+                chain = np.add.accumulate(steps)
+            self.times, self.next = np.concatenate((self.times, chain[:-1])), chain[-1]
+
+    def take(self, n: int) -> tuple:
+        """The next ``n`` units: their times, the eight pieces of their two
+        lines with the times left out, and which units have each line."""
+        unit = np.arange(self.taken, self.taken + n)
+        pos = self.hop + unit - self.first
+        pkt = self.pkt + pos // self.hops
+        nxt = self.pkt + (pos + 1) // self.hops
+        ids = np.array([str(p) for p in range(pkt[0], nxt[-1] + 1)], dtype=object)
+        pieces = np.empty((n, 8), dtype=object)
+        pieces[:, 1] = self.arrive[pos % self.hops]
+        pieces[:, 2] = ids[pkt - pkt[0]]
+        pieces[:, 3] = pieces[:, 7] = self.end
+        pieces[:, 5] = self.send[(pos + 1) % self.hops]
+        pieces[:, 6] = ids[nxt - pkt[0]]
+        arrives = unit >= self.first
+        sends = (unit < self.units - 1) | (not self.done)
+        pieces[~arrives, 1:4] = ""
+        pieces[~sends, 5:] = ""
+        times, self.times = self.times[:n], self.times[n:]
+        self.taken += n
+        return times, pieces, arrives, sends
+
+
+def _write_window(trace: TextIO, lanes: list[_WindowLines]):
+    """Write the lanes' lines in pop order, ``_TRACE_CHUNK`` units at a time."""
+    per = max(1, _TRACE_CHUNK // len(lanes))
+    while lanes:
+        for lane in lanes:
+            lane.build(per)
+        # a unit not yet built keys after the last built unit of its path, so
+        # every built unit keyed up to the least such last key can go now
+        t, pid = min(((lane.times[-1], lane.path_id) for lane in lanes
+                      if lane.taken + len(lane.times) < lane.units),
+                     default=(math.inf, math.inf))
+        parts = []
+        for lane in lanes:
+            n = len(lane.times) if lane.path_id == pid else int(np.searchsorted(
+                lane.times, t, "right" if lane.path_id < pid else "left"))
+            if n:
+                parts.append((np.full(n, lane.path_id),) + lane.take(n))
+        lane_ids, times, pieces, arrives, sends = map(np.concatenate, zip(*parts))
+        if len(parts) > 1:  # a stable sort: each lane's units keep their order
+            order = np.lexsort((lane_ids, times))
+            times, pieces, arrives, sends = (x[order] for x in (times, pieces, arrives, sends))
+        new = np.r_[True, times[1:] != times[:-1]]  # each distinct time formatted once
+        stamps = np.array([format(x, _TRACE_TIME) for x in times[new].tolist()],
+                          dtype=object)[new.cumsum() - 1]
+        pieces[:, 0] = np.where(arrives, stamps, "")
+        pieces[:, 4] = np.where(sends, stamps, "")
+        trace.write("".join(pieces.ravel().tolist()))
+        lanes = [lane for lane in lanes if lane.taken < lane.units]
 
 
 class _Engine:
@@ -438,7 +499,7 @@ class _Engine:
                 pid, list(r.nodes), r.profile, packets, base,
                 j_tx=tx_per_bit * ep.S, j_ctrl_tx=tx_per_bit * config.control_bits)
             base += packets
-        self.heap: list[tuple[float, int, SimEvent]] = []
+        self.heap: list[tuple[float, int, int, SimEvent]] = []
         self.seq = 0
         self.ledger = EnergyLedger(g)
         self.records: list[FaultRecord] = []
@@ -454,7 +515,8 @@ class _Engine:
     def _push(self, time: float, kind: EventKind, **kw):
         ev = SimEvent(time=time, seq=self.seq, kind=kind, **kw)
         self.seq += 1
-        heapq.heappush(self.heap, (time, ev.seq, ev))
+        lane = -1 if kind is EventKind.FAULT_TRIGGER else ev.path_id
+        heapq.heappush(self.heap, (time, lane, ev.seq, ev))
 
     def _check_death(self, node_id: int, led: NodeLedger):
         # deplete-to-zero kills the node on the spot
@@ -501,15 +563,16 @@ class _Engine:
         # the receiver's watchdog is due m*tau past the expected arrival;
         # _arm_timer pushes it under this key if the hop fails
         tau = pr.profile.tau
-        pr.deadline = (pr.hop_start + tau + self.config.max_attempts * tau, self.seq)
+        pr.deadline = (pr.hop_start + tau + self.config.max_attempts * tau,
+                       pr.path_id, self.seq)
         self.seq += 1
 
     def _arm_timer(self, pr: _PathRun):
         if pr.deadline is None:
             return
-        time, seq = pr.deadline
+        time, lane, seq = pr.deadline
         pr.deadline = None
-        heapq.heappush(self.heap, (time, seq, SimEvent(
+        heapq.heappush(self.heap, (time, lane, seq, SimEvent(
             time=time, seq=seq, kind=EventKind.TIMER_EXPIRE,
             node_from=pr.nodes[pr.hop + 1], packet_id=pr.pkt,
             path_id=pr.path_id, instance=pr.instance)))
@@ -744,26 +807,25 @@ class _Engine:
         return horizon
 
     def _advance(self, pr: _PathRun, s: float, a: float,
-                 horizon: float) -> tuple[int, int, float, float, float]:
+                 horizon: float) -> tuple[int, int, float, float]:
         """Count the hops of ``pr`` that arrive before ``horizon``; changes
         nothing.
 
         The hop in flight was sent at ``s`` and arrives at ``a``; later hop
         times are built by the same ``t + tau`` chain stepping builds. Returns
         the number of arrivals, the packets they delivered, the send time of
-        the hop now in flight (or of the last one), the send time of the last
-        arrival's hop, and the time of the last delivery.
+        the hop now in flight (or of the last one), and the time of the last
+        delivery.
         """
         tau = pr.profile.tau
         hops = pr.hops
         n = hops - pr.hop            # arrivals left for the packet in flight
         left = pr.total - pr.sent    # packets not yet injected
         k = delivered = 0
-        p = last = 0.0
+        last = 0.0
         while True:
             n0 = n
             while n and a < horizon:
-                p = s
                 s = a
                 a += tau
                 n -= 1
@@ -775,49 +837,7 @@ class _Engine:
             if delivered > left:
                 break
             n = hops
-        return k, delivered, s, p, last
-
-    def _trace_walk(self, pr: _PathRun, s: float, a: float, horizon: float,
-                    sending: bool, seq0: int, ranks):
-        """The lines of the sends and arrivals ``_advance`` counts, as ``(key,
-        line)``; the key is the event's ``(time, seq)`` heap key in stepping.
-        It reads the path's state and changes none.
-
-        The first event is the pending one, sent at ``s`` if ``sending``,
-        else arriving at ``a``, and keeps its seq ``seq0``. Every later event
-        takes the next of the ``ranks`` that all paths' walks share, drawn
-        when the merge has taken the event that makes it, as stepping takes
-        the next seq when that event pops. So a merge of every path's walk
-        lists the events in stepping's pop order.
-        """
-        tau = pr.profile.tau
-        hops = pr.hops
-        # per hop, its send and arrival lines with the time and packet left open
-        links = list(zip(pr.nodes, pr.nodes[1:]))
-        sends = [_TRACE_LINE.format("{0}", EventKind.PACKET_SEND.value, u, v, "{1}",
-                                    pr.path_id).format for u, v in links]
-        arrives = [_TRACE_LINE.format("{0}", EventKind.PACKET_ARRIVE.value, u, v, "{1}",
-                                      pr.path_id).format for u, v in links]
-        hop, pkt = pr.hop, pr.pkt
-        left = pr.total - pr.sent
-        delivered = 0
-        rank = seq0
-        if sending:
-            yield (s, rank), sends[hop](format(s, _TRACE_TIME), pkt)
-            rank = next(ranks)
-        while a < horizon:
-            at = format(a, _TRACE_TIME)
-            yield (a, rank), arrives[hop](at, pkt)
-            hop += 1
-            if hop == hops:
-                delivered += 1
-                if delivered > left:
-                    break
-                hop = 0
-                pkt += 1
-            yield (a, next(ranks)), sends[hop](at, pkt)
-            a += tau
-            rank = next(ranks)
+        return k, delivered, s, last
 
     def _apply_hops(self, pr: _PathRun, k: int, delivered: int, s: float,
                     last: float):
@@ -867,10 +887,10 @@ class _Engine:
         if not all(self._route_intact(pr) for pr in running):
             return False
         horizon = self._depletion_horizon(running, now)
-        kept: list[tuple[float, int, SimEvent]] = []
+        kept: list[tuple[float, int, int, SimEvent]] = []
         pending: dict[int, list] = {pr.path_id: [] for pr in running}
         for item in self.heap:
-            ev = item[2]
+            ev = item[-1]
             if self._stale(ev):
                 continue
             pr = self.paths.get(ev.path_id)
@@ -882,60 +902,37 @@ class _Engine:
                 horizon = min(horizon, item[0])
         if horizon <= now:
             return False
-        if any(len(items) != 1 or items[0][2].kind not in _CLEAN_HOPS
+        if any(len(items) != 1 or items[0][-1].kind not in _CLEAN_HOPS
                for items in pending.values()):
             return False
-        walks, pushes, entries = [], [], {}
+        walks = []
         for pr in running:
-            item = t0, seq0, first = pending[pr.path_id][0]
-            sending = first.kind is EventKind.PACKET_SEND
+            (item,) = pending[pr.path_id]
+            t0, sending = item[0], item[-1].kind is EventKind.PACKET_SEND
             s, a = (t0, t0 + pr.profile.tau) if sending else (pr.hop_start, t0)
-            k, delivered, end, p, last = self._advance(pr, s, a, horizon)
+            k, delivered, end, last = self._advance(pr, s, a, horizon)
             if not k and not (sending and t0 < horizon):
                 kept.append(item)
                 continue
-            walks.append((pr, s, a, sending, seq0, k, delivered, end, last))
-            entries[pr.path_id] = (t0, not sending, seq0)
-            if delivered > pr.total - pr.sent:
-                continue  # done: nothing left in flight
-            # a push is ordered by the heap key of the pop that makes it: the
-            # arrival at ``end`` reserves the timer of the hop it starts, and
-            # the send at ``end`` pushes that hop's arrival. In stepping a
-            # pending event keys (time, -inf, seq), ahead of any event the
-            # window makes at its time, and an event the window makes keys
-            # (time, key of the pop that pushed it), here cut after that
-            # pop's time; _pop_order settles equal keys
-            pend = (end, -math.inf, seq0)
-            arrival_key = pend if k == 1 and not sending else (end, p)
-            if k:
-                pushes.append((arrival_key, pr, True))
-            pushes.append(((end,) + arrival_key if k else pend, pr, False))
+            walks.append((pr, s, a, sending, k, delivered, end, last))
         if not walks:
             return False
-        taus: dict[tuple, float] = {}
-        for key, pr, _ in pushes:
-            if taus.setdefault(key, pr.profile.tau) != pr.profile.tau:
-                return False  # paths of two taus tie deeper than the keys go
-        pushes.sort(key=_pop_order(entries))
         if self.config.trace is not None:
             # every path's lines in pop order, before any path changes
-            ranks = itertools.count(self.seq)
-            self.config.trace.writelines(line for _, line in merge(*(
-                self._trace_walk(pr, s, a, horizon, sending, seq0, ranks)
-                for pr, s, a, sending, seq0, *_ in walks)))
-        for pr, *_, k, delivered, end, last in walks:
-            if k:
-                self._apply_hops(pr, k, delivered, end, last)
+            _write_window(self.config.trace, [
+                _WindowLines(pr, s, a, sending, k, delivered > pr.total - pr.sent)
+                for pr, s, a, sending, k, delivered, *_ in walks])
         kept.sort()
         self.heap[:] = kept
-        for _, pr, timer in pushes:
-            if timer:
-                self._reserve_timer(pr)
-            else:
-                self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
-                           node_from=pr.nodes[pr.hop], node_to=pr.nodes[pr.hop + 1],
-                           packet_id=pr.pkt, path_id=pr.path_id,
-                           instance=pr.instance)
+        for pr, s, a, sending, k, delivered, end, last in walks:
+            if k:
+                self._apply_hops(pr, k, delivered, end, last)
+                if pr.state == _DONE:
+                    continue  # nothing left in flight
+                self._reserve_timer(pr)  # as the arrival at ``end`` did
+            self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
+                       node_from=pr.nodes[pr.hop], node_to=pr.nodes[pr.hop + 1],
+                       packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
         return True
 
     # -- main loop --------------------------------------------------------
@@ -945,7 +942,7 @@ class _Engine:
             pr = self.paths[pid]
             if pr.total > 0:
                 self._inject(0.0, pr)
-        last_key = (-1.0, -1)
+        last_key = (-math.inf, -1, -1)
         trace = self.config.trace
         handlers = {EventKind.PACKET_SEND: self._on_send,
                     EventKind.PACKET_ARRIVE: self._on_arrive,
@@ -958,12 +955,13 @@ class _Engine:
             if (self.heap[0][0] > last_key[0]
                     and self._fast_forward(self.heap[0][0])):
                 continue
-            time, seq, ev = heapq.heappop(self.heap)
-            if (time, seq) <= last_key:
+            time, lane, seq, ev = heapq.heappop(self.heap)
+            key = (time, lane, seq)
+            if key <= last_key:
                 raise RuntimeError(
                     f"event order went backwards on path {ev.path_id}: "
-                    f"(t={time!r}, seq={seq}) popped after {last_key!r}")
-            last_key = (time, seq)
+                    f"{key!r} popped after {last_key!r}")
+            last_key = key
             if self._stale(ev):
                 continue
             if trace is not None:

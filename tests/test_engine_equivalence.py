@@ -13,7 +13,7 @@ from contextlib import nullcontext
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wsn_multipath import (
@@ -23,7 +23,9 @@ from wsn_multipath import (
     FaultEvent,
     FaultScript,
     LinkParams,
+    PathProfile,
     ScenarioConfig,
+    ScenarioError,
     Scheme,
     SimConfig,
     allocate,
@@ -31,8 +33,9 @@ from wsn_multipath import (
     parse_scenario,
     run_transfer,
 )
+from wsn_multipath import simulation
 from wsn_multipath.cli import main
-from wsn_multipath.simulation import _Engine
+from wsn_multipath.simulation import _Engine, _PathRun, _WindowLines
 
 
 def _runs(cfg, dist_for, faults=(), idle_power=409.6e-6, tweak=None):
@@ -95,11 +98,25 @@ def _hop_time(tau, hops):
     return t
 
 
+def _in_chunks(chunk):
+    """Windows build trace lines ``chunk`` hops at a time."""
+    return mock.patch.object(simulation, "_TRACE_CHUNK", chunk)
+
+
 class TestBundled:
     def test_every_scheme_at_d100(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text)
         for scheme in Scheme:
             assert_equivalent(_runs(cfg, _scheme(scheme, cfg)))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_every_scheme_at_d100_in_small_chunks(self, bench_scenario_text, chunk):
+        # every seam between chunks falls inside a window of five paths
+        # whose hop times coincide
+        cfg = parse_scenario(bench_scenario_text)
+        with _in_chunks(chunk):
+            for scheme in Scheme:
+                assert_equivalent(_runs(cfg, _scheme(scheme, cfg)))
 
     def test_node_and_link_faults(self, bench_scenario_text):
         cfg = parse_scenario(bench_scenario_text + "paths.redundant 3\n")
@@ -306,8 +323,8 @@ class TestBeaconPartnerDies:
 
 
 # two recoveries re-time paths 2 and 4 onto hop times that differ by rounding
-# only, until both arrive at the sink at 0.286; from there the path whose
-# hop times were earlier pops first, whatever order the paths entered in
+# only, until both paths' hops meet at 0.286; from there path 2, the lower
+# id, pops first at every shared time, whatever order the paths entered in
 IN_STEP_40 = """
 field.nodes 40
 field.area 60 60
@@ -335,7 +352,8 @@ def test_paths_falling_in_step_after_recoveries():
                  tweak=lambda g: g._spares.update({29, 30}))
     assert_equivalent(runs)
     lines = runs[0][2]
-    assert lines[62:64] == ["0.286 PacketArrive 0 29 9 4", "0.286 PacketArrive 0 30 4 2"]
+    assert lines[62:66] == ["0.286 PacketArrive 0 30 4 2", "0.286 PacketSend 30 1 4 2",
+                            "0.286 PacketArrive 0 29 9 4", "0.286 PacketSend 29 1 9 4"]
     assert [fr.replacement for fr in runs[0][0].fault_records] == [29, 30]
 
 
@@ -344,7 +362,7 @@ def test_paths_falling_in_step_after_recoveries():
     # paths charge it, so its idle charge, idle_power * (0.16 - on air), is
     # zero; a running sum in stepping's order would reach 0.15999999999999998
     ([1, 1, 1, 2], [0.01, 0.01, 0.01, 0.04], (0, 0, 8, 2)),
-    # both paths reach the sink at t=0.05; the one sent earlier pops first
+    # both paths reach the sink at t=0.05; path 1, the lower id, pops first
     ([1, 1, 1], [0.01, 0.025, 0.01], (5, 2, 0)),
 ])
 def test_shared_ends_sum_paths_in_event_order(hops, taus, alloc):
@@ -361,10 +379,10 @@ def test_shared_ends_sum_paths_in_event_order(hops, taus, alloc):
         assert [rep.ledger.nodes[0].idle for rep, *_ in runs] == [0.0] * 3
 
 
-def test_same_time_timers_keep_their_push_order():
+def test_same_time_timers_pop_by_path_id():
     # three hops fail as their senders run dry; the receivers' timers of
-    # paths 1 and 4 fall due at one time and must pop in the order their
-    # hops were sent, so each path's fault record keeps its own time
+    # paths 1 and 4 fall due at one time and pop in path id order, and each
+    # path's fault record keeps its own time
     cfg = ScenarioConfig(
         mode="explicit", packets=0, schemes=[2],
         ep=EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024),
@@ -383,6 +401,29 @@ def test_same_time_timers_keep_their_push_order():
             (0.4, 4, 15, "source/sink cannot be replaced"),
             (0.72, 2, 7, "source/sink cannot be replaced"),
         ]
+
+
+def test_same_time_recoveries_give_the_last_spare_to_the_lower_path_id():
+    # path 1's hop into its dead relay is sent at 0.01 over 0.01 s hops and
+    # path 2's at 0 over a 0.02 s hop, so both senders beacon at 0.02 and
+    # both replies are due at 0.024. Path 2's events there were pushed first,
+    # but path 1 pops first and takes the one spare
+    cfg = ScenarioConfig(
+        mode="explicit", packets=0, schemes=[2],
+        ep=EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024),
+        link=LinkParams(b=50000.0), hops=[3, 3], taus=[0.01, 0.02], t_dist=100.0,
+        redundant=1, max_attempts=1)
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=4, allocations=((1, 2), (2, 2)))
+    # routes 0-2-3-1 and 0-4-5-1, spare 6
+    faults = [FaultEvent(time=0.0, kind="node_fail", target=3),
+              FaultEvent(time=0.0, kind="node_fail", target=4)]
+    runs = _runs(cfg, lambda profiles: dist, faults)
+    assert_equivalent(runs)
+    for rep, *_ in runs:
+        assert [(fr.time, fr.path_id, fr.failed_node, fr.replacement, fr.note)
+                for fr in rep.fault_records] == [
+            (0.024, 1, 3, 6, ""), (0.024, 2, 4, None, "unrecoverable")]
+        assert rep.delivered == {1: 2, 2: 0}
 
 
 def test_deadline_rounded_onto_the_arrival_arms_no_timer():
@@ -475,3 +516,89 @@ def in_step_runs(draw):
 def test_random_in_step_runs_match(case):
     cfg, dist, faults = case
     assert_equivalent(_runs(cfg, lambda profiles: dist, faults))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@given(in_step_runs())
+def test_random_in_step_runs_match_in_small_chunks(chunk, case):
+    cfg, dist, faults = case
+    with _in_chunks(chunk):
+        assert_equivalent(_runs(cfg, lambda profiles: dist, faults))
+
+
+@pytest.mark.parametrize("t0, tau", [
+    (0.0, 0.02), (0.002, 0.01), (0.1234567, 0.0173), (3.0, 1e-7), (0.05, 0.025)])
+def test_window_hop_times_are_the_stepped_chain(t0, tau):
+    # a window's trace takes its hop times from np.add.accumulate, in chunks;
+    # over 250,000 hops and every seam they must equal stepping's t + tau
+    n = 250_000
+    pr = _PathRun(1, [0, 2, 3, 1], PathProfile(path_id=1, H=3, tau=tau, T_dist=100.0),
+                  total=n, base_pkt=0, j_tx=0.0, j_ctrl_tx=0.0)
+    pr.pkt = 0
+    lane = _WindowLines(pr, t0 - tau, t0, sending=False, k=n, done=False)
+    times = []
+    while lane.taken < lane.units:
+        lane.build(simulation._TRACE_CHUNK)
+        times += lane.take(len(lane.times))[0].tolist()
+    t, stepped = t0, []
+    for _ in range(n):
+        stepped.append(t)
+        t += tau
+    assert times == stepped
+
+
+FIELD_FUZZ = """
+field.nodes {nodes}
+field.area {side} {side}
+field.radio_range 24
+field.seed {seed}
+field.source 0
+field.sink 1
+field.redundant_fraction {spares}
+packets {packets}
+link.bit_rate 50000
+energy.e_t 0.128
+energy.e_r 0.1024
+energy.k_r 0.024
+sim.idle_power 409.6e-6
+sim.initial_energy {energy}
+"""
+
+
+@st.composite
+def field_runs(draw):
+    # random fields about as dense as the benchmark's 1,500-node field, with
+    # node and link faults on the discovered routes
+    nodes = draw(st.integers(40, 400))
+    cfg = parse_scenario(FIELD_FUZZ.format(
+        nodes=nodes, side=round(8 * nodes ** 0.5), seed=draw(st.integers(0, 999)),
+        spares=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        packets=draw(st.integers(1, 200)),
+        energy=draw(st.sampled_from([23760.0, 0.05, 0.01]))))
+    try:
+        _, table = build_network(cfg)
+    except ScenarioError:  # no route from the source to the sink
+        assume(False)
+    faults = []
+    for _ in range(draw(st.integers(1, 3))):
+        route = draw(st.sampled_from(table.routes))
+        i = draw(st.integers(0, len(route.nodes) - 2))
+        time = draw(st.one_of(st.floats(0.0, 2.0), st.integers(0, 60).map(
+            lambda k: _hop_time(route.profile.tau, k))))
+        if draw(st.booleans()):
+            faults.append(FaultEvent(time=time, kind="node_fail",
+                                     target=draw(st.sampled_from(route.nodes[i:i + 2]))))
+        else:
+            faults.append(FaultEvent(time=time, kind="link_fail",
+                                     target=tuple(route.nodes[i:i + 2])))
+    return cfg, draw(st.sampled_from(list(Scheme))), faults
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field_runs())
+def test_random_field_runs_match(case):
+    cfg, scheme, faults = case
+    assert_equivalent(_runs(cfg, _scheme(scheme, cfg), faults))

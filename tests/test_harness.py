@@ -98,11 +98,11 @@ class TestEmitOutputs:
         first = (tmp_path / "trace_single_path.txt").read_text().splitlines()[0]
         assert first.split()[1:] == ["PacketSend", "0", "31", "0", "3"]
 
-    def test_traced_run_holds_no_trace(self, bench_scenario_text, tmp_path):
-        # 1,000 packets make ~53k lines (~3 MB); streamed, they add only the
-        # file buffers to the untraced run's peak
-        cfg = parse_scenario(bench_scenario_text)
-        cfg.packets = 1000
+    @staticmethod
+    def _peaks(text, packets, tmp_path):
+        """The tracemalloc peaks of an untraced and a traced comparison."""
+        cfg = parse_scenario(text)
+        cfg.packets = packets
         peaks = []
         for trace_dir in (None, tmp_path / "traced"):
             tracemalloc.start()
@@ -111,6 +111,19 @@ class TestEmitOutputs:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_traced_run_holds_no_trace(self, bench_scenario_text, tmp_path):
+        # 1,000 packets make ~53k lines (~3 MB); streamed, they add only the
+        # file buffers to the untraced run's peak
+        peaks = self._peaks(bench_scenario_text, 1000, tmp_path)
+        assert peaks[1] - peaks[0] < 2**20, peaks
+
+    def test_traced_run_holds_no_trace_at_full_scale(self, bench_scenario_text, tmp_path):
+        # 10,000 packets make ~536k lines (~15 MB), most of them in three
+        # windows that each span nearly a whole scheme's run; a window builds
+        # its lines in bounded chunks, so the peak still grows by less than 1 MB
+        peaks = self._peaks(bench_scenario_text, 10000, tmp_path)
         assert peaks[1] - peaks[0] < 2**20, peaks
 
     def test_distribution_csv(self, bench_report, tmp_path):

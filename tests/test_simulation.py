@@ -306,6 +306,28 @@ class TestDeterminism:
             texts.append(rep.to_text() + trace.getvalue())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("lane", ["fault", "lower path"])
+    def test_event_order_going_back_raises(self, lane, monkeypatch):
+        # the pop key is (time, lane, seq): an event of a lower lane pushed at
+        # the time being popped sorts before the pop, so the run must stop
+        # with an error, not carry on out of order
+        monkeypatch.setattr(_Engine, "_fast_forward", lambda self, now: False)
+        cfg, g, table, dist = single_path_net(packets=1)
+        engine = _Engine(g, table, dist, cfg.ep, cfg.link, None, SimConfig())
+        on_send = engine._on_send
+
+        def send_and_push_back(ev, pr):
+            if lane == "fault":
+                engine._push(ev.time, EventKind.FAULT_TRIGGER,
+                             payload=FaultEvent(time=ev.time, kind="node_fail", target=9))
+            else:
+                engine._push(ev.time, EventKind.PACKET_SEND, path_id=pr.path_id - 1)
+            on_send(ev, pr)
+
+        engine._on_send = send_and_push_back
+        with pytest.raises(RuntimeError, match="event order went backwards"):
+            engine.run()
+
     def test_trace_line_shape(self):
         cfg, g, table, dist = single_path_net()
         trace = io.StringIO()
