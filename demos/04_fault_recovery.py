@@ -1,5 +1,5 @@
 """
-Failure detection and spare swap-in, step by step
+Failure detection and detour repair, step by step
 =================================================
 
 Runs a 12-packet transfer over a single 5-hop path, kills a relay node
@@ -39,8 +39,9 @@ dist = allocate(Scheme.ADAPTIVE, cfg.ep, profiles, cfg.packets)
 
 # Node 3 goes silent at t = 50 ms, while the first packet is on the wire
 # between it and node 4. Node 4 detects the silence when its arrival timer
-# runs out, asks the field for the nearest spare, and the spare assumes
-# the dead node's place on the route.
+# runs out, and recovery searches the shortest detour from node 2 to node 4
+# through nodes no route uses: here one spare, which takes the dead node's
+# place on the route.
 faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
 trace = io.StringIO()  # the engine writes each event's line as it happens
 rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,

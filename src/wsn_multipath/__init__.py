@@ -32,7 +32,6 @@ from .distribution import (
 )
 from .topology import (
     TopologyGraph,
-    UnrecoverableFailureError,
     deploy_field,
 )
 from .routing import (
@@ -41,7 +40,6 @@ from .routing import (
     build_routing_table,
     discover_disjoint_paths,
     estimate_path_params,
-    replace_failed_node,
 )
 from .simulation import FaultCase, FaultEvent, FaultScript, SimConfig, run_transfer
 from .scenario import (
@@ -64,9 +62,9 @@ __all__ = [
     "Scheme", "Distribution", "QuadraticCoefficients", "DegeneratePathError",
     "NoCapacityError", "coefficients_for_path", "solve_max_packets",
     "largest_remainder", "normalize_distribution", "allocate", "verify_edp_bound",
-    "TopologyGraph", "UnrecoverableFailureError", "deploy_field",
+    "TopologyGraph", "deploy_field",
     "Route", "RoutingTable", "discover_disjoint_paths",
-    "estimate_path_params", "build_routing_table", "replace_failed_node",
+    "estimate_path_params", "build_routing_table",
     "FaultCase", "FaultEvent", "FaultScript", "SimConfig", "run_transfer",
     "ScenarioConfig", "ScenarioError", "parse_scenario", "load_scenario",
     "build_network", "bundled_scenario_path",

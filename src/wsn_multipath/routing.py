@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import LinkParams, PathProfile, per_hop_delay
-from .topology import TopologyGraph, UnrecoverableFailureError
+from .topology import TopologyGraph
 
 __all__ = [
     "Route",
@@ -28,7 +28,6 @@ __all__ = [
     "discover_disjoint_paths",
     "estimate_path_params",
     "build_routing_table",
-    "replace_failed_node",
 ]
 
 
@@ -172,23 +171,3 @@ def build_routing_table(g: TopologyGraph, source: int, sink: int,
         replace(r, profile=estimate_path_params(g, r, link, packet_bits=packet_bits))
         for r in routes))
 
-
-def replace_failed_node(g: TopologyGraph, failed_id: int, near: int | None = None,
-                        exclude: set[int] | frozenset[int] = frozenset()) -> int:
-    """Activate the nearest alive redundant node to take a failed node's slot.
-
-    ``near`` picks the reference point for "nearest" (defaults to the failed
-    node itself; recovery passes the node that detected the fault). Nodes in
-    ``exclude`` are never borrowed; recovery passes the nodes its routes
-    already use. Only the graph changes: the caller puts the returned spare
-    into its own copy of the route, and routing tables are never written.
-    Raises UnrecoverableFailureError when the pool is empty.
-    """
-    if failed_id not in g:
-        raise ValueError(f"unknown node {failed_id}")
-    spare = g.nearest_redundant(near if near is not None else failed_id, exclude=exclude)
-    if spare is None:
-        raise UnrecoverableFailureError(
-            f"no redundant node available to replace node {failed_id}")
-    g.activate_spare(spare)
-    return spare

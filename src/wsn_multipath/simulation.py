@@ -16,22 +16,24 @@ Fault handling mirrors a two-sided detection protocol. The receiver of a hop
 arms a timer for m*tau past the expected arrival; an unacknowledged sender
 retries, and after m attempts pings a neighbor to check its own radio.
 Whichever check concludes first drives recovery, the other is logged as a
-non-driving detection. Recovery swaps the unreachable node for the nearest
-redundant spare and resumes from the last holder of the packet. When both ends
-of the hop are dead nobody is left to detect the fault, so the path fails when
-the receiver's timer is due and drops its remaining packets. A beacon whose
-partner dies before replying leaves the fault to the timer; once both checks
-have ended without a detection, the sender beacons its next alive neighbour.
-Both checks act only on a failed hop, so a hop is a send and an arrival: an
-arrival over a missing link decides the ack timeout due at that instant, and
-the receiver's timer is pushed when the hop is first seen to fail, under the
-key it took when the hop was sent.
+non-driving detection. Recovery splices in the min-hop detour that route
+discovery's search finds between the failed node's route neighbours, through
+nodes no route uses, and resumes from the last holder of the packet. When
+both ends of the hop are dead nobody is left to detect the fault, so the path
+fails when the receiver's timer is due and drops its remaining packets. A
+beacon whose partner dies before replying leaves the fault to the timer; once
+both checks have ended without a detection, the sender beacons its next alive
+neighbour. Both checks act only on a failed hop, so a hop is a send and an
+arrival: an arrival over a missing link decides the ack timeout due at that
+instant, and the receiver's timer is pushed when the hop is first seen to
+fail, under the key it took when the hop was sent, or under a fresh key when
+rounding has put its deadline on that arrival.
 
 Events pop by the key ``(time, lane, seq)``: the lane is -1 for a scripted
 fault and the path id for any other event, and ``seq`` counts pushes. So at
 one time faults pop first, then paths in id order, each path's events in push
-order, and where two paths' events interact (a spare, a shared node's energy)
-the lower id acts first.
+order, and where two paths' events interact (a detour node, a shared node's
+energy) the lower id acts first.
 
 A ledger counts charges by unit: per node, the charges of each size in joules
 and the seconds on air of each size, and per path its communication charges.
@@ -75,8 +77,8 @@ import numpy as np
 from .model import (EnergyParams, LinkParams, PathProfile, per_hop_delay,
                     rx_energy_per_bit, tx_energy_per_bit)
 from .distribution import Distribution
-from .routing import RoutingTable, replace_failed_node
-from .topology import TopologyGraph, UnrecoverableFailureError
+from .routing import RoutingTable, _shortest_hops
+from .topology import TopologyGraph
 
 __all__ = [
     "EventKind",
@@ -506,6 +508,8 @@ class _Engine:
         self.fabric: set[int] = set()
         for pr in self.paths.values():
             self.fabric.update(pr.nodes)
+        # nodes no repair may splice in: the table's routes and the repairs'
+        self.barred = {n for r in table.routes for n in r.nodes}
         if faults:
             for fe in faults.sorted_events():
                 self._push(fe.time, EventKind.FAULT_TRIGGER, payload=fe)
@@ -572,6 +576,11 @@ class _Engine:
             return
         time, lane, seq = pr.deadline
         pr.deadline = None
+        if time <= pr.hop_start + pr.profile.tau:
+            # m*tau rounded away: the deadline is the arrival that arms it,
+            # which popped under a later seq than the one reserved
+            seq = self.seq
+            self.seq += 1
         heapq.heappush(self.heap, (time, lane, seq, SimEvent(
             time=time, seq=seq, kind=EventKind.TIMER_EXPIRE,
             node_from=pr.nodes[pr.hop + 1], packet_id=pr.pkt,
@@ -613,24 +622,35 @@ class _Engine:
             self._fail_path(t, pr, case, failed, initiator,
                             "source/sink cannot be replaced")
             return
-        try:
-            spare = replace_failed_node(self.g, failed, near=initiator,
-                                        exclude=self.fabric)
-        except UnrecoverableFailureError:
+        # repair as discovery searches: the min-hop detour between the failed
+        # slot's route neighbours through nodes no route uses
+        slot = pr.nodes.index(failed)
+        up, down = pr.nodes[slot - 1], pr.nodes[slot + 1]
+        detour = _shortest_hops(self.g, up, down, removed=self.barred - {up, down},
+                                skip_direct=True)
+        if detour is None:
             self._fail_path(t, pr, case, failed, initiator, "")
             return
-        slot = pr.nodes.index(failed)
-        pr.nodes[slot] = spare
-        self.fabric.add(spare)
-        # the detecting node briefs the spare over one control exchange
-        self._ctrl_tx(initiator, pr)
-        if self.g.alive(spare):
-            self._ctrl_rx(spare)
+        spliced = detour[1:-1]
+        pr.nodes[slot:slot + 1] = spliced
+        seam = pr.nodes[slot - 1:slot + len(spliced) + 1]
+        for u, v in zip(seam, seam[1:]):
+            if not self.g.has_edge(u, v):
+                raise RuntimeError(f"the repair of path {pr.path_id} "
+                                   f"spliced in a missing link {u}-{v}")
+        self.barred.update(spliced)
+        self.fabric.update(spliced)
+        for node in spliced:  # all alive: the search only crosses live links
+            self.g.activate_spare(node)
+            # the detecting node briefs each spliced node over one control exchange
+            self._ctrl_tx(initiator, pr)
+            self._ctrl_rx(node)
         self.records.append(FaultRecord(
             time=t, path_id=pr.path_id, case=case, failed_node=failed,
-            initiator=initiator, replacement=spare, drove_recovery=True))
+            initiator=initiator, replacement=spliced[0], drove_recovery=True,
+            note="" if len(spliced) == 1 else "detour " + ",".join(map(str, spliced))))
         pr.state = _RUNNING
-        # resume from the last holder of the packet once the spare is briefed
+        # resume from the last holder of the packet once the detour is briefed
         if case is FaultCase.NODE_SILENT:
             pr.hop = slot - 1
         self._start_hop(t + self.tau_ctrl, pr)

@@ -38,13 +38,8 @@ import numpy as np
 
 __all__ = [
     "TopologyGraph",
-    "UnrecoverableFailureError",
     "deploy_field",
 ]
-
-
-class UnrecoverableFailureError(RuntimeError):
-    """No redundant node is available to take over for a failed one."""
 
 
 _SPANS_PER_BLOCK = 2048
@@ -253,17 +248,6 @@ class TopologyGraph:
     def set_residual(self, node_id: int, joules: float):
         """Store a node's residual energy; the topology is unchanged."""
         self._residual[node_id] = joules
-
-    def nearest_redundant(self, near: int,
-                          exclude: set[int] | frozenset[int] = frozenset()) -> int | None:
-        """The alive spare closest to ``near`` that is not in ``exclude``;
-        lowest id wins ties. None when there is none."""
-        candidates = list(self._spares - exclude - self._failed)
-        if not candidates:
-            return None
-        x, y = self.position(near)
-        return min((math.hypot(sx - x, sy - y), s)
-                   for s, (sx, sy) in zip(candidates, self._pos[candidates].tolist()))[1]
 
 
 def deploy_field(area: tuple[float, float], node_count: int, seed: int,

@@ -442,6 +442,28 @@ def test_deadline_rounded_onto_the_arrival_arms_no_timer():
     assert runs[0][0].delivered == {1: 4}
 
 
+def test_deadline_rounded_onto_a_failed_arrival_pops_after_it():
+    # the repair at 0.004 is briefed by 0.006, where t + tau + m*tau rounds
+    # to t + tau = t: packet 1's arrival over the cut link 0-2 arms a timer
+    # due at its own time, which must pop right after it under a fresh seq,
+    # not before it under the seq reserved at the send
+    cfg = ScenarioConfig(
+        mode="explicit", packets=0, schemes=[2],
+        ep=EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024),
+        link=LinkParams(b=50000.0), hops=[3], taus=[1e-20], t_dist=100.0,
+        redundant=2, max_attempts=2)
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=4, allocations=((1, 4),))
+    runs = _runs(cfg, lambda profiles: dist,
+                 [FaultEvent(time=0.0, kind="node_fail", target=3),
+                  FaultEvent(time=0.001, kind="link_fail", target=(0, 2))])
+    assert_equivalent(runs)
+    rep = runs[0][0]
+    assert not isinstance(rep, str), rep
+    assert [(fr.time, fr.failed_node, fr.replacement, fr.note)
+            for fr in rep.fault_records] == [
+        (0.004, 3, 4, ""), (0.006, 0, None, "source/sink cannot be replaced")]
+
+
 @st.composite
 def explicit_runs(draw):
     n_paths = draw(st.integers(1, 4))
@@ -601,4 +623,13 @@ def field_runs(draw):
 @given(field_runs())
 def test_random_field_runs_match(case):
     cfg, scheme, faults = case
-    assert_equivalent(_runs(cfg, _scheme(scheme, cfg), faults))
+    runs = _runs(cfg, _scheme(scheme, cfg), faults)
+    assert_equivalent(runs)
+    rep = runs[0][0]
+    if not isinstance(rep, str):
+        # a repair answers a scripted fault or a node run dry, never a
+        # detour that cannot carry the packet on
+        repaired = sum(fr.drove_recovery and fr.replacement is not None
+                       for fr in rep.fault_records)
+        dry = sum(led.residual <= 0.0 for led in rep.ledger.nodes.values())
+        assert repaired <= len(faults) + dry

@@ -9,14 +9,12 @@ from wsn_multipath import (
     LinkParams,
     Route,
     TopologyGraph,
-    UnrecoverableFailureError,
     build_network,
     build_routing_table,
     deploy_field,
     discover_disjoint_paths,
     estimate_path_params,
     parse_scenario,
-    replace_failed_node,
 )
 from wsn_multipath.routing import _shortest_hops
 
@@ -304,37 +302,3 @@ class TestRoutingTable:
         # the one-sink view bench/tracer.py reads
         assert table.entries == {3: list(table.routes)}
 
-
-class TestReplacement:
-    def replacement_setup(self):
-        return graph_from([(0, 0), (1, 1), (1, -1), (2, 0), (1.2, 1.2), (4, 4)],
-                          radio=1.8, spares={4, 5})
-
-    def test_nearest_spare_takes_slot(self):
-        g = self.replacement_setup()
-        g.fail_node(1)
-        spare = replace_failed_node(g, 1)
-        assert spare == 4
-        assert g.spares == {5}
-
-    def test_near_reference_changes_choice(self):
-        g = self.replacement_setup()
-        spare = replace_failed_node(g, 1, near=3)
-        # node 5 is closer to nothing useful; 4 still wins from node 3
-        assert spare == 4
-
-    def test_exhausted_pool_raises(self):
-        g = self.replacement_setup()
-        g.fail_node(4)
-        g.fail_node(5)
-        with pytest.raises(UnrecoverableFailureError):
-            replace_failed_node(g, 1)
-
-    def test_on_route_nodes_not_borrowed(self):
-        g = self.replacement_setup()
-        # a still-redundant node the caller's routes use is skipped
-        assert replace_failed_node(g.copy(), 1, exclude=frozenset({4})) == 5
-        # spare 4 already promoted onto a route: only 5 remains
-        replace_failed_node(g, 1)
-        spare = replace_failed_node(g, 2)
-        assert spare == 5

@@ -1,8 +1,11 @@
 import hashlib
 import io
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wsn_multipath import (
     Distribution,
@@ -14,6 +17,7 @@ from wsn_multipath import (
     PathProfile,
     Route,
     RoutingTable,
+    ScenarioConfig,
     Scheme,
     SimConfig,
     TopologyGraph,
@@ -24,6 +28,8 @@ from wsn_multipath import (
     run_comparison,
     run_transfer,
 )
+from wsn_multipath import simulation
+from wsn_multipath.model import rx_energy_per_bit
 from wsn_multipath.simulation import EventKind, _Engine
 
 SINGLE_PATH_TEXT = """
@@ -134,12 +140,14 @@ class TestCaseOneRecovery:
         assert fr.replacement == 6  # the scenario's one spare
 
     def test_a_spare_on_a_route_is_not_borrowed(self):
-        # spare 6 stands in node 2's slot; recovery excludes its routes' nodes,
-        # so node 3's slot goes to spare 7, though 6 is nearer the initiator
+        # spare 6 stands in node 2's slot and node 2 is dead; recovery bars
+        # the table's nodes, so node 3's slot goes to spare 7, though 6 is
+        # nearer the initiator
         cfg, g, table, dist = single_path_net(spares=2)
         (route,) = table.routes
         table = RoutingTable(0, 1, (Route(1, (0, 6, 3, 4, 5, 1), route.profile),))
-        faults = FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)])
+        faults = FaultScript([FaultEvent(time=0.0, kind="node_fail", target=2),
+                              FaultEvent(time=0.05, kind="node_fail", target=3)])
         rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults)
         assert g.distance(4, 6) < g.distance(4, 7)
         driving = [fr for fr in rep.fault_records if fr.drove_recovery]
@@ -294,6 +302,144 @@ class TestUnrecoverable:
                 10 * TAU * profiles[pid - 1].H, rel=1e-9)
 
 
+# a line field: source 0 at (0, 0), relays 2 and 3 at x = 1 and 2, sink 1 at
+# (3, 0), and the extra nodes from id 4 on; a 1.5 m radio range links only
+# neighbours on the line
+LINE = [(0.0, 0.0), (3.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+EP = EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024)
+
+
+def line_run(extra=(), spares=(), routes=((0, 2, 3, 1),), packets=(3,)):
+    """Run ``packets`` over the hand-made ``routes`` of a line field whose
+    relay 3 fails at 0.05, with the first packet in flight to the sink, so
+    the sink's timer detects it; returns the report and the trace lines."""
+    g = TopologyGraph(LINE + list(extra), 1.5, 23760.0, spares=spares)
+    table = RoutingTable(0, 1, tuple(
+        Route(j, nodes, PathProfile(path_id=j, H=len(nodes) - 1, tau=TAU, T_dist=3.0))
+        for j, nodes in enumerate(routes, start=1)))
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, total=sum(packets),
+                        allocations=tuple(enumerate(packets, start=1)))
+    trace = io.StringIO()
+    rep = run_transfer(g, table, dist, EP, LinkParams(b=50000.0),
+                       faults=FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)]),
+                       config=SimConfig(trace=trace))
+    return rep, trace.getvalue().splitlines()
+
+
+def sends(lines):
+    return {tuple(line.split()[2:4]) for line in lines if line.split()[1] == "PacketSend"}
+
+
+def repairs(rep):
+    return [(fr.failed_node, fr.initiator, fr.replacement, fr.note)
+            for fr in rep.fault_records if fr.drove_recovery]
+
+
+class TestRepair:
+    """Recovery splices in the min-hop detour between the failed slot's route
+    neighbours, through nodes no route of the table or earlier repair uses."""
+
+    def test_one_node_detour_through_a_relay_that_is_no_spare(self):
+        rep, lines = line_run(extra=[(2.0, 1.0)])
+        assert repairs(rep) == [(3, 1, 4, "")]
+        assert {("2", "4"), ("4", "1")} <= sends(lines)
+        assert rep.total_delivered == 3
+        assert 4 in rep.fabric_nodes
+
+    def test_detour_of_two_nodes_is_noted(self):
+        # 4 hears only 2 and 5, and 5 only 4, 3 and the sink
+        rep, lines = line_run(extra=[(1.0, 1.4), (2.4, 1.2)])
+        assert repairs(rep) == [(3, 1, 4, "detour 4,5")]
+        assert {("2", "4"), ("4", "5"), ("5", "1")} <= sends(lines)
+        assert rep.total_delivered == 3
+        # the sink, whose timer detected the silence, briefs both nodes
+        ctrl_rx = rx_energy_per_bit(EP) * SimConfig().control_bits
+        assert [rep.ledger.nodes[n].rx[ctrl_rx] for n in (4, 5)] == [1, 1]
+        assert "detour 4,5" in rep.to_text()
+
+    def test_no_detour_fails_the_path(self):
+        rep, _ = line_run()
+        assert repairs(rep) == [(3, 1, None, "unrecoverable")]
+        assert rep.failed_paths == [1]
+        assert rep.delivered[1] + rep.dropped[1] == 3
+
+    def test_a_spare_on_a_table_route_is_not_borrowed(self):
+        # spare 4 bridges 2 and the sink, but route 2 (0-5-4-1) uses it, so
+        # the detour goes through 6
+        rep, lines = line_run(extra=[(2.0, 1.0), (1.0, 1.0), (2.0, -1.0)], spares={4},
+                              routes=((0, 2, 3, 1), (0, 5, 4, 1)), packets=(2, 2))
+        assert repairs(rep) == [(3, 1, 6, "")]
+        assert ("2", "4") not in sends(lines)
+        assert rep.total_delivered == 4
+
+    def test_a_splice_over_a_missing_link_raises(self):
+        # node 4 is out of everyone's range; a search that returned it would
+        # make a route that cannot carry a packet
+        with mock.patch.object(simulation, "_shortest_hops",
+                               lambda *args, **kw: [2, 4, 1]):
+            with pytest.raises(RuntimeError, match="missing link 2-4"):
+                line_run(extra=[(10.0, 10.0)])
+
+
+def nearest_spare(engine, near):
+    """The rule the min-hop detour replaced: the alive spare no route uses
+    nearest to ``near``, lowest id on ties."""
+    g = engine.g
+    free = [s for s in g.spares if g.alive(s) and s not in engine.barred]
+    return min(free, key=lambda s: (g.distance(near, s), s), default=None)
+
+
+@st.composite
+def explicit_repairs(draw):
+    n_paths = draw(st.integers(1, 4))
+    hops = draw(st.lists(st.integers(2, 8), min_size=n_paths, max_size=n_paths))
+    cfg = ScenarioConfig(
+        mode="explicit", packets=0, schemes=[2], ep=EP, link=LinkParams(b=50000.0),
+        hops=hops, taus=draw(st.lists(st.sampled_from([0.01, 0.02, 0.0173]),
+                                      min_size=n_paths, max_size=n_paths)),
+        t_dist=100.0, redundant=draw(st.integers(1, 5)),
+        max_attempts=draw(st.integers(1, 5)))
+    alloc = tuple((j + 1, draw(st.integers(1, 20))) for j in range(n_paths))
+    dist = Distribution(scheme=Scheme.EQUAL_SPLIT, allocations=alloc,
+                        total=sum(n for _, n in alloc))
+    # route interiors, and the spares they may take in
+    targets = st.integers(2, 1 + sum(h - 1 for h in hops) + cfg.redundant)
+    faults = draw(st.lists(st.builds(
+        lambda t, n: FaultEvent(time=t, kind="node_fail", target=n),
+        st.floats(0.0, 1.0), targets), min_size=1, max_size=5))
+    return cfg, dist, faults
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(explicit_repairs())
+def test_explicit_layouts_repair_with_the_nearest_spare(case):
+    # every spare of an explicit layout hears every node, and the other table
+    # routes are barred, so the detour is one spare: the nearest to the
+    # initiator, as the old rule chose. A slot whose route neighbour is dead
+    # has nothing to bridge, and its path fails
+    cfg, dist, faults = case
+    g, table = build_network(cfg)
+    real = _Engine._begin_recovery
+
+    def checked(self, t, pr, fault_case, failed, initiator):
+        want = nearest_spare(self, initiator)
+        if failed in (pr.nodes[0], pr.nodes[-1]):
+            want = None
+        else:
+            slot = pr.nodes.index(failed)
+            if not (self.g.alive(pr.nodes[slot - 1]) and self.g.alive(pr.nodes[slot + 1])):
+                want = None
+        before = len(self.records)
+        real(self, t, pr, fault_case, failed, initiator)
+        (fr,) = self.records[before:]
+        assert (fr.replacement, fr.note == "") == (want, want is not None)
+
+    with mock.patch.object(_Engine, "_begin_recovery", checked):
+        run_transfer(g, table, dist, cfg.ep, cfg.link, faults=FaultScript(faults),
+                     config=SimConfig(max_attempts=cfg.max_attempts))
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self):
         texts = []
@@ -417,7 +563,7 @@ sim.idle_power 409.6e-6
 class TestLazyLedgers:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_only_touched_nodes_get_ledgers(self, scheme):
-        # three node_fail faults on the middle interior nodes of routes 1-3
+        # node_fail faults on the middle interior nodes of routes 1-3
         cfg = parse_scenario(FIELD_FAULTS)
         runs = []
         sink = io.StringIO()
@@ -425,10 +571,12 @@ class TestLazyLedgers:
             g, table = build_network(cfg)
             routes = table.routes
             discovered = {r.path_id: r.nodes for r in routes}
+            # and a cut of route 1's first link, which its sender's beacon detects
             faults = FaultScript([
                 FaultEvent(time=when, kind="node_fail",
                            target=r.interior[len(r.interior) // 2])
-                for when, r in zip((0.05, 0.10, 0.15), routes)])
+                for when, r in zip((0.05, 0.10, 0.15), routes)] + [
+                FaultEvent(time=0.3, kind="link_fail", target=routes[0].nodes[:2])])
             dist = allocate(scheme, cfg.ep, [r.profile for r in routes], cfg.packets)
             initial = {i: g.residual(i) for i in range(len(g))}
             rep = run_transfer(g, table, dist, cfg.ep, cfg.link, faults=faults,
@@ -460,17 +608,35 @@ fault node_fail 0.10 59
 fault node_fail 0.15 149
 """
 
+# the benchmark's field_50k workload with one relay of route 1 failed
+FIELD_50K_FAULT = """
+field.nodes 50000
+field.area 1732 1732
+field.radio_range 24
+field.seed 3
+field.source 0
+field.sink 1
+packets 100
+link.bit_rate 50000
+energy.e_t 0.128
+energy.e_r 0.1024
+energy.k_r 0.024
+sim.idle_power 409.6e-6
+fault node_fail 0.05 10432
+"""
+
 
 class TestRandomFieldRecovery:
-    """Which spare a random field picks, pinned byte for byte per scheme."""
+    """Which detours a random field splices in, pinned byte for byte per
+    scheme: one repair per fault, each through a node no route uses."""
 
     PINNED = {
         Scheme.SINGLE_PATH: (
-            5, "da0fc366c2fa60bc2b0a4bf32a26e2730fb126ec54298d97f301f0d17f688d3b"),
+            1, "f5519181ec72233f66937074972239b9fd0fee16542a809be2062a42087b827f"),
         Scheme.EQUAL_SPLIT: (
-            153, "ce9c810ad3fe096485ebaaa352640f7ea3b5c6b34a0d1ba456737e0e7948ba4b"),
+            3, "be7bb7e2dda495b813f108d34dad3c0734d7a271cfbca1e256bd4f8c6dc2da19"),
         Scheme.ADAPTIVE: (
-            153, "ce9c810ad3fe096485ebaaa352640f7ea3b5c6b34a0d1ba456737e0e7948ba4b"),
+            3, "be7bb7e2dda495b813f108d34dad3c0734d7a271cfbca1e256bd4f8c6dc2da19"),
     }
 
     def test_reports_are_pinned(self):
@@ -479,4 +645,24 @@ class TestRandomFieldRecovery:
                           hashlib.sha256(r.transfer.to_text().encode()).hexdigest())
                for r in rep.runs}
         assert got == self.PINNED
-        assert sum(records for records, _ in got.values()) == 311
+        assert sum(records for records, _ in got.values()) == 7
+
+    def test_every_scheme_delivers_with_one_repair_per_fault(self):
+        cfg = parse_scenario(FIELD_FAULTS_PINNED)
+        for r in run_comparison(cfg).runs:
+            rep = r.transfer
+            assert rep.total_delivered >= 0.99 * cfg.packets, r.scheme
+            repaired = [fr.failed_node for fr in rep.fault_records
+                        if fr.drove_recovery and fr.replacement is not None]
+            assert len(repaired) == len(set(repaired)) <= len(cfg.faults.events)
+            assert [(fr.failed_node, fr.replacement) for fr in rep.fault_records
+                    if fr.path_id == 1] == [(34, 657)]
+
+    def test_one_fault_on_the_50k_field(self):
+        # the benchmark's 50,000-node field loses relay 10432 of route 1: one
+        # detour through 32315 per scheme, and no packet is dropped
+        rep = run_comparison(parse_scenario(FIELD_50K_FAULT))
+        for r in rep.runs:
+            assert r.transfer.total_dropped == 0, r.scheme
+            assert [(fr.failed_node, fr.replacement, fr.drove_recovery)
+                    for fr in r.transfer.fault_records] == [(10432, 32315, True)]

@@ -366,26 +366,6 @@ class TestLinksFrom:
         assert links_by_id(g, ids) == links_by_neighbors(g, ids)
 
 
-class TestNearestRedundant:
-    def test_closest_spare_wins(self):
-        g = TopologyGraph([(0.0, 0.0), (5.0, 0.0), (1.0, 0.0)], 10.0, 1.0,
-                          spares=(1, 2))
-        assert g.nearest_redundant(0) == 2
-
-    def test_equidistant_lowest_id(self):
-        g = TopologyGraph([(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (0.0, 2.0)], 10.0, 1.0,
-                          spares=(3, 2))
-        assert g.nearest_redundant(0) == 2
-
-    def test_dead_activated_and_excluded_spares_skipped(self):
-        g = TopologyGraph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.5, 0.0)], 10.0, 1.0,
-                          spares=(1, 2, 3))
-        g.fail_node(1)
-        g.activate_spare(3)
-        assert g.nearest_redundant(0) == 2
-        assert g.nearest_redundant(0, exclude=frozenset({2})) is None
-
-
 class TestDeploy:
     @staticmethod
     def layout(g):
