@@ -17,8 +17,8 @@ arms a timer for m*tau past the expected arrival; an unacknowledged sender
 retries, and after m attempts pings a neighbor to check its own radio.
 Whichever check concludes first drives recovery, the other is logged as a
 non-driving detection. Recovery splices in the min-hop detour that route
-discovery's search finds between the failed node's route neighbours, through
-nodes no route uses, and resumes from the last holder of the packet. When
+discovery's search finds between the alive route nodes nearest the failed
+node, through nodes no route uses, and resumes from the upstream one. When
 both ends of the hop are dead nobody is left to detect the fault, so the path
 fails when the receiver's timer is due and drops its remaining packets. A
 beacon whose partner dies before replying leaves the fault to the timer; once
@@ -622,18 +622,27 @@ class _Engine:
             self._fail_path(t, pr, case, failed, initiator,
                             "source/sink cannot be replaced")
             return
-        # repair as discovery searches: the min-hop detour between the failed
-        # slot's route neighbours through nodes no route uses
+        # repair as discovery searches: the min-hop detour through nodes no
+        # route uses, between the alive route nodes nearest the failed slot
         slot = pr.nodes.index(failed)
-        up, down = pr.nodes[slot - 1], pr.nodes[slot + 1]
+        lo, hi = slot - 1, slot + 1
+        while lo > 0 and not self.g.alive(pr.nodes[lo]):
+            lo -= 1
+        while hi < len(pr.nodes) - 1 and not self.g.alive(pr.nodes[hi]):
+            hi += 1
+        up, down = pr.nodes[lo], pr.nodes[hi]
+        if not (self.g.alive(up) and self.g.alive(down)):
+            self._fail_path(t, pr, case, failed, initiator,
+                            "source/sink cannot be replaced")
+            return
         detour = _shortest_hops(self.g, up, down, removed=self.barred - {up, down},
                                 skip_direct=True)
         if detour is None:
             self._fail_path(t, pr, case, failed, initiator, "")
             return
         spliced = detour[1:-1]
-        pr.nodes[slot:slot + 1] = spliced
-        seam = pr.nodes[slot - 1:slot + len(spliced) + 1]
+        pr.nodes[lo + 1:hi] = spliced
+        seam = pr.nodes[lo:lo + len(spliced) + 2]
         for u, v in zip(seam, seam[1:]):
             if not self.g.has_edge(u, v):
                 raise RuntimeError(f"the repair of path {pr.path_id} "
@@ -650,9 +659,8 @@ class _Engine:
             initiator=initiator, replacement=spliced[0], drove_recovery=True,
             note="" if len(spliced) == 1 else "detour " + ",".join(map(str, spliced))))
         pr.state = _RUNNING
-        # resume from the last holder of the packet once the detour is briefed
-        if case is FaultCase.NODE_SILENT:
-            pr.hop = slot - 1
+        # resume from the last alive holder of the packet once the detour is briefed
+        pr.hop = lo
         self._start_hop(t + self.tau_ctrl, pr)
 
     # -- handlers ---------------------------------------------------------

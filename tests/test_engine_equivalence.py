@@ -297,8 +297,9 @@ class TestBeaconPartnerDies:
         self._check(STALL_50K, Scheme.SINGLE_PATH, "20037", "1033")
 
     @pytest.mark.parametrize("sender_dies, record", [
-        # no neighbour is left to beacon, so the sender counts itself faulty
-        (False, (FaultCase.NODE_SILENT, 2, 2, "unrecoverable")),
+        # no neighbour is left to beacon, so the sender counts itself faulty,
+        # and its slot widens over the dead sink and source
+        (False, (FaultCase.NODE_SILENT, 2, 2, "source/sink cannot be replaced")),
         (True, (FaultCase.NODE_SILENT, 2, 1, "sender and receiver both failed")),
     ])
     def test_timer_passes_before_the_reply(self, sender_dies, record):

@@ -309,10 +309,12 @@ LINE = [(0.0, 0.0), (3.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
 EP = EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024)
 
 
-def line_run(extra=(), spares=(), routes=((0, 2, 3, 1),), packets=(3,)):
+def line_run(extra=(), spares=(), routes=((0, 2, 3, 1),), packets=(3,),
+             fails=((0.05, 3),)):
     """Run ``packets`` over the hand-made ``routes`` of a line field whose
-    relay 3 fails at 0.05, with the first packet in flight to the sink, so
-    the sink's timer detects it; returns the report and the trace lines."""
+    ``fails`` nodes fail at their times; by default relay 3 at 0.05, with the
+    first packet in flight to the sink, so the sink's timer detects it.
+    Returns the report and the trace lines."""
     g = TopologyGraph(LINE + list(extra), 1.5, 23760.0, spares=spares)
     table = RoutingTable(0, 1, tuple(
         Route(j, nodes, PathProfile(path_id=j, H=len(nodes) - 1, tau=TAU, T_dist=3.0))
@@ -321,7 +323,8 @@ def line_run(extra=(), spares=(), routes=((0, 2, 3, 1),), packets=(3,)):
                         allocations=tuple(enumerate(packets, start=1)))
     trace = io.StringIO()
     rep = run_transfer(g, table, dist, EP, LinkParams(b=50000.0),
-                       faults=FaultScript([FaultEvent(time=0.05, kind="node_fail", target=3)]),
+                       faults=FaultScript([FaultEvent(time=when, kind="node_fail", target=n)
+                                           for when, n in fails]),
                        config=SimConfig(trace=trace))
     return rep, trace.getvalue().splitlines()
 
@@ -362,6 +365,23 @@ class TestRepair:
         assert repairs(rep) == [(3, 1, None, "unrecoverable")]
         assert rep.failed_paths == [1]
         assert rep.delivered[1] + rep.dropped[1] == 3
+
+    def test_dead_route_neighbours_widen_the_slot(self):
+        # relays 2 and 3 both fail: the detour bridges the source and the
+        # sink, the nearest alive route nodes, in one repair, and the source
+        # sends the packet again
+        rep, lines = line_run(extra=[(1.0, 1.0), (2.0, 1.0)],
+                              fails=((0.05, 2), (0.05, 3)))
+        assert repairs(rep) == [(3, 1, 4, "detour 4,5")]
+        assert {("0", "4"), ("4", "5"), ("5", "1")} <= sends(lines)
+        assert rep.total_delivered == 3
+
+    def test_a_slot_widened_to_a_dead_sink_fails_the_path(self):
+        # relay 3 and the sink fail before the first packet reaches 2; 2's
+        # beacon blames 3, and past it only the dead sink is left
+        rep, _ = line_run(extra=[(2.0, 1.0)], fails=((0.0, 3), (0.0, 1)))
+        assert repairs(rep) == [(3, 2, None, "source/sink cannot be replaced")]
+        assert rep.failed_paths == [1]
 
     def test_a_spare_on_a_table_route_is_not_borrowed(self):
         # spare 4 bridges 2 and the sink, but route 2 (0-5-4-1) uses it, so
@@ -416,20 +436,14 @@ def explicit_repairs(draw):
 def test_explicit_layouts_repair_with_the_nearest_spare(case):
     # every spare of an explicit layout hears every node, and the other table
     # routes are barred, so the detour is one spare: the nearest to the
-    # initiator, as the old rule chose. A slot whose route neighbour is dead
-    # has nothing to bridge, and its path fails
+    # initiator, as the old rule chose, also where the slot widens over dead
+    # route neighbours
     cfg, dist, faults = case
     g, table = build_network(cfg)
     real = _Engine._begin_recovery
 
     def checked(self, t, pr, fault_case, failed, initiator):
-        want = nearest_spare(self, initiator)
-        if failed in (pr.nodes[0], pr.nodes[-1]):
-            want = None
-        else:
-            slot = pr.nodes.index(failed)
-            if not (self.g.alive(pr.nodes[slot - 1]) and self.g.alive(pr.nodes[slot + 1])):
-                want = None
+        want = None if failed in (pr.nodes[0], pr.nodes[-1]) else nearest_spare(self, initiator)
         before = len(self.records)
         real(self, t, pr, fault_case, failed, initiator)
         (fr,) = self.records[before:]
@@ -589,9 +603,7 @@ class TestLazyLedgers:
         for g, initial, discovered, rep in runs:
             assert any(fr.replacement is not None for fr in rep.fault_records)
             route_nodes = {n for pid in rep.delivered for n in discovered[pid]}
-            briefed = {fr.replacement for fr in rep.fault_records
-                       if fr.replacement is not None}
-            assert set(rep.ledger.nodes) <= route_nodes | briefed | beacons
+            assert set(rep.ledger.nodes) <= route_nodes | set(rep.fabric_nodes) | beacons
             for nid in range(len(g)):
                 if nid not in rep.ledger.nodes:
                     assert g.residual(nid) == initial[nid]
@@ -640,16 +652,15 @@ class TestRandomFieldRecovery:
     }
 
     def test_reports_are_pinned(self):
-        rep = run_comparison(parse_scenario(FIELD_FAULTS_PINNED))
+        cfg = parse_scenario(FIELD_FAULTS_PINNED)
+        runs = run_comparison(cfg).runs
         got = {r.scheme: (len(r.transfer.fault_records),
                           hashlib.sha256(r.transfer.to_text().encode()).hexdigest())
-               for r in rep.runs}
+               for r in runs}
         assert got == self.PINNED
         assert sum(records for records, _ in got.values()) == 7
-
-    def test_every_scheme_delivers_with_one_repair_per_fault(self):
-        cfg = parse_scenario(FIELD_FAULTS_PINNED)
-        for r in run_comparison(cfg).runs:
+        # every scheme delivers, with one repair per fault
+        for r in runs:
             rep = r.transfer
             assert rep.total_delivered >= 0.99 * cfg.packets, r.scheme
             repaired = [fr.failed_node for fr in rep.fault_records
