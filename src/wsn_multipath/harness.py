@@ -3,7 +3,7 @@
 The network is built once per comparison: one deploy, one adjacency and one
 route discovery. Each scheme then runs on its own copy of that pristine graph,
 so faults and energy drain do not leak between runs. The copy copies the
-graph's small sets and dicts of changed node state and shares the rest.
+graph's small sets and dict of changed node state and shares the rest.
 Every scheme reads the same routing table: it is read-only once built, and
 recovery puts spares into the engine's own route lists.
 Delay is the completion time of the whole transfer; energy is communication
@@ -53,14 +53,23 @@ class SchemeRun:
     scheme: Scheme
     distribution: Distribution
     transfer: TransferReport
-    overall_delay: float
-    comm_energy: float
-    idle_energy: float = 0.0
     sensing_energy: float = 0.0
 
     @property
     def label(self) -> str:
         return _SCHEME_LABEL[self.scheme]
+
+    @property
+    def overall_delay(self) -> float:
+        return self.transfer.completion_time
+
+    @property
+    def comm_energy(self) -> float:
+        return self.transfer.comm_energy()
+
+    @property
+    def idle_energy(self) -> float:
+        return self.transfer.ledger.total("idle")
 
     @property
     def total_energy(self) -> float:
@@ -161,10 +170,6 @@ def _compare(cfg: ScenarioConfig, traces: _TraceFiles) -> ComparisonReport:
     for code in cfg.schemes:
         scheme = Scheme(code)
         dist = allocate(scheme, cfg.ep, profiles, cfg.packets)
-        if dist.infeasible:
-            warnings.append(
-                f"{_SCHEME_LABEL[scheme]}: raw path capacities fall short of "
-                f"the demand; allocation was scaled up past the per-path bound")
         if scheme is Scheme.ADAPTIVE:
             bound = verify_edp_bound(cfg.ep, profiles, dist)
             warnings.extend(f"adaptive: {w}" for w in bound.warnings)
@@ -176,14 +181,7 @@ def _compare(cfg: ScenarioConfig, traces: _TraceFiles) -> ComparisonReport:
             report = run_transfer(pristine.copy(), table, dist, cfg.ep, cfg.link,
                                   faults=cfg.faults, config=sim_cfg)
         fabric_count = max(fabric_count, len(report.fabric_nodes))
-        runs.append(SchemeRun(
-            scheme=scheme,
-            distribution=dist,
-            transfer=report,
-            overall_delay=report.completion_time,
-            comm_energy=report.comm_energy(),
-            idle_energy=report.ledger.total("idle"),
-        ))
+        runs.append(SchemeRun(scheme=scheme, distribution=dist, transfer=report))
     t_obs = max((r.overall_delay for r in runs), default=0.0)
     for r in runs:
         n_sensing = len(r.transfer.fabric_nodes) + cfg.background_nodes

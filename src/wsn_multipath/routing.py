@@ -9,8 +9,8 @@ are by lowest node id, so discovery is fully deterministic.
 The search is a level-synchronous frontier BFS over the graph's CSR rows,
 which are indexed by node id (Beamer et al., "Direction-optimizing
 breadth-first search", SC 2012): numpy gathers every link out of a hop level
-at once through ``TopologyGraph.links_from``, so no Python code runs per node
-and the search makes no neighbour list.
+at once through ``TopologyGraph.links_from``, so no Python code runs per
+node.
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ beacon whose partner dies before replying leaves the fault to the timer; once
 both checks have ended without a detection, the sender beacons its next alive
 neighbour. Both checks act only on a failed hop, so a hop is a send and an
 arrival: an arrival over a missing link decides the ack timeout due at that
-instant, and the receiver's timer is pushed when the hop is first seen to
-fail, under the key it took when the hop was sent, or under a fresh key when
-rounding has put its deadline on that arrival.
+instant, and the receiver's timer is pushed, under a fresh key, when the
+hop is first seen to fail.
 
 Events pop by the key ``(time, lane, seq)``: the lane is -1 for a scripted
 fault and the path id for any other event, and ``seq`` counts pushes. So at
@@ -49,10 +48,9 @@ times by the same chain of ``t + tau`` additions stepping makes; a closed form
 such as ``t0 + k * H * tau`` would change the low bits and could move a hop
 across a fault scheduled on it. Each route node then takes the window's
 arrival, injection and delivery counts as one charge per unit. At the
-window's end each path in flight takes its timer's key and pushes its
-``PacketArrive``, as stepping would, and stale events (``_stale``), which the
-main loop would drop unhandled, are dropped. The result is bit-identical to
-stepping.
+window's end each path in flight pushes its ``PacketArrive``, as stepping
+would, and stale events (``_stale``), which the main loop would drop
+unhandled, are dropped. The result is bit-identical to stepping.
 
 ``SimConfig.trace`` is the run's line sink, a text writable or None; it
 decides only whether lines are written, not how the engine runs. A stepped pop
@@ -319,7 +317,7 @@ class _PathRun:
         self.hop_start = 0.0  # send time of the current hop
         self.attempt = 0
         self.instance = 0     # bumped on every fresh hop start
-        self.deadline: tuple[float, int, int] | None = None  # hop's timer key until pushed
+        self.armed: int | None = None  # the hop instance whose timer is pushed
         self.last_recovery_instance: int | None = None
         self.unheard: int | None = None  # hop instance with one check ended unheard
         self.delivery_time = 0.0
@@ -561,30 +559,17 @@ class _Engine:
         a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
         self._push(t, EventKind.PACKET_SEND, node_from=a, node_to=b,
                    packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
-        self._reserve_timer(pr)
-
-    def _reserve_timer(self, pr: _PathRun):
-        # the receiver's watchdog is due m*tau past the expected arrival;
-        # _arm_timer pushes it under this key if the hop fails
-        tau = pr.profile.tau
-        pr.deadline = (pr.hop_start + tau + self.config.max_attempts * tau,
-                       pr.path_id, self.seq)
-        self.seq += 1
 
     def _arm_timer(self, pr: _PathRun):
-        if pr.deadline is None:
+        # the receiver's watchdog is due m*tau past the expected arrival;
+        # it is pushed once, when the hop is first seen to fail
+        if pr.armed == pr.instance:
             return
-        time, lane, seq = pr.deadline
-        pr.deadline = None
-        if time <= pr.hop_start + pr.profile.tau:
-            # m*tau rounded away: the deadline is the arrival that arms it,
-            # which popped under a later seq than the one reserved
-            seq = self.seq
-            self.seq += 1
-        heapq.heappush(self.heap, (time, lane, seq, SimEvent(
-            time=time, seq=seq, kind=EventKind.TIMER_EXPIRE,
-            node_from=pr.nodes[pr.hop + 1], packet_id=pr.pkt,
-            path_id=pr.path_id, instance=pr.instance)))
+        pr.armed = pr.instance
+        tau = pr.profile.tau
+        self._push(pr.hop_start + tau + self.config.max_attempts * tau,
+                   EventKind.TIMER_EXPIRE, node_from=pr.nodes[pr.hop + 1],
+                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
 
     def _retry(self, t: float, pr: _PathRun):
         pr.attempt += 1
@@ -957,7 +942,6 @@ class _Engine:
                 self._apply_hops(pr, k, delivered, end, last)
                 if pr.state == _DONE:
                     continue  # nothing left in flight
-                self._reserve_timer(pr)  # as the arrival at ``end`` did
             self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
                        node_from=pr.nodes[pr.hop], node_to=pr.nodes[pr.hop + 1],
                        packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
@@ -1028,6 +1012,10 @@ class _Engine:
                 led = self.ledger.ensure(nid)
                 led.idle = self.config.idle_power * max(
                     0.0, report.completion_time - led.time_on_air)
+        # energy totals past the float range raise here, as the completion
+        # time does, and not in whichever reader takes them first
+        report.comm_energy()
+        self.ledger.total("idle")
         self.ledger.settle()
         return report
 

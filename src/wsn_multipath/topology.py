@@ -9,22 +9,21 @@ neighbours being ``indices[indptr[u]:indptr[u + 1]]`` in ascending order. The
 positions and the base arrays are never written, so every ``copy`` shares
 them.
 
-On top of the base, each graph keeps a small dict of Python neighbour lists.
-``neighbors(u)`` makes u's list from its row on first use; ``fail_node`` and
-``disable_link`` write replacement lists. A node's list, when it has one, is
-its adjacency; otherwise its row is. ``neighbors``, ``has_edge`` and
-``links_from`` (the route search's gather over many nodes at once) all follow
-that one rule, so beacons, the transfer engine and route discovery never
-disagree about whether u and v are linked. On a 50,000-node field only the
-few hundred nodes the engine asks about ever get a list.
+Each graph keeps its own link state as two small sets over that base: the
+failed ids, and the cut links, each disabled link in both directions. One
+rule decides every pair: ``u``-``v`` is a link when ``v`` is in ``u``'s base
+row, both nodes are alive and ``(u, v)`` is not cut. ``neighbors``,
+``has_edge`` and ``links_from`` (the route search's gather over many nodes
+at once) all apply it, so beacons, the transfer engine and route discovery
+never disagree about whether u and v are linked. ``fail_node`` and
+``disable_link`` only add to a set.
 
 The graph is the one owner of node state. Every node starts alive with the
-same initial energy. Besides its lists, each graph holds a set of failed ids,
+same initial energy. Besides its failed ids and cut links, each graph holds
 a set of spares (redundant nodes not yet activated) and the residuals
 ``set_residual`` wrote; ``alive``, ``residual``, ``position`` and ``spares``
-read that state. ``copy`` copies the two sets and the two dicts and shares
-the lists, which writes replace and never edit in place, so a write to
-either graph never shows through the other.
+read that state. ``copy`` copies those four containers and shares the rest,
+so a write to either graph never shows through the other.
 
 ``version`` counts the graph's mutations (failed nodes, disabled links,
 activated spares), starting at 1.
@@ -32,6 +31,7 @@ activated spares), starting at 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -143,25 +143,16 @@ class TopologyGraph:
         for shared in (self._pos, self._indptr, self._indices):
             shared.flags.writeable = False
         self._failed: set[int] = set()
+        self._cut: set[tuple[int, int]] = set()  # disabled links, both directions
         self._residual: dict[int, float] = {}   # only the residuals written
-        # this graph's neighbour lists: made from a row on first use, or
-        # written by fail_node / disable_link; they override the base
-        self._lists: dict[int, list[int]] = {}
 
     def copy(self) -> TopologyGraph:
-        """An independent graph in this one's state. Writes replace the
-        neighbour lists they change, so the copy shares those lists and the
-        base arrays with this one."""
+        """An independent graph in this one's state, sharing the base arrays."""
         g = TopologyGraph.__new__(TopologyGraph)
         g.__dict__.update(self.__dict__)
-        g._spares = set(self._spares)
-        g._failed = set(self._failed)
+        g._failed, g._cut, g._spares = set(self._failed), set(self._cut), set(self._spares)
         g._residual = dict(self._residual)
-        g._lists = dict(self._lists)
         return g
-
-    def _unlink(self, u: int, v: int):
-        self._lists[u] = [w for w in self.neighbors(u) if w != v]
 
     def __len__(self) -> int:
         return len(self._pos)
@@ -188,54 +179,48 @@ class TopologyGraph:
         return math.hypot(x1 - x2, y1 - y2)
 
     def neighbors(self, u: int) -> list[int]:
-        """Alive neighbors of u in ascending id order (do not modify)."""
-        nbrs = self._lists.get(u)
-        if nbrs is None:
-            if u not in self:
-                return []
-            nbrs = self._lists[u] = self._indices[
-                self._indptr[u]:self._indptr[u + 1]].tolist()
-        return nbrs
+        """Alive neighbours of u in ascending id order, as a new list."""
+        if not self.alive(u):
+            return []
+        failed, cut = self._failed, self._cut
+        return [v for v in self._indices[self._indptr[u]:self._indptr[u + 1]].tolist()
+                if v not in failed and (u, v) not in cut]
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self._lists.get(u)
-        return v in (self.neighbors(u) if nbrs is None else nbrs)
+        # v, when it is no node, is in no row
+        if not self.alive(u) or v in self._failed or (u, v) in self._cut:
+            return False
+        end = self._indptr[u + 1]
+        at = bisect.bisect_left(self._indices, v, self._indptr[u], end)
+        return at < end and int(self._indices[at]) == v
 
     def links_from(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every link out of the nodes ``ids``, as arrays ``(from, to)``.
-
-        A node with a neighbour list in this graph reads that list, any other
-        node its base row, so this and ``neighbors`` agree on every pair.
-        """
-        src, dst = [], []
-        if self._lists:
-            listed = np.isin(ids, np.fromiter(self._lists, dtype=np.intp,
-                                              count=len(self._lists)))
-            for u in ids[listed].tolist():
-                dst.append(np.array(self._lists[u], dtype=np.intp))
-                src.append(np.full(len(dst[-1]), u))
-            ids = ids[~listed]
+        """Every link out of the nodes ``ids``, as arrays ``(from, to)``: the
+        base rows, less the pairs with a failed end or a cut."""
         starts = self._indptr[ids]
         counts = self._indptr[ids + 1] - starts
         # gathered entry k of node i sits at indices[starts[i] + k - first[i]]
         first = np.cumsum(counts) - counts
-        src.append(np.repeat(ids, counts))
-        dst.append(self._indices[np.arange(counts.sum())
-                                 + np.repeat(starts - first, counts)])
-        return np.concatenate(src), np.concatenate(dst)
+        src = np.repeat(ids, counts)
+        dst = self._indices[np.arange(counts.sum()) + np.repeat(starts - first, counts)]
+        if self._failed or self._cut:
+            failed = list(self._failed)
+            keep = ~(np.isin(src, failed) | np.isin(dst, failed))
+            if self._cut:
+                n = len(self)
+                keep &= ~np.isin(src.astype(np.int64) * n + dst,
+                                 [u * n + v for u, v in self._cut])
+            src, dst = src[keep], dst[keep]
+        return src, dst
 
     def fail_node(self, node_id: int):
         if self.alive(node_id):
             self._failed.add(node_id)
-            for v in self.neighbors(node_id):
-                self._unlink(v, node_id)
-            self._lists[node_id] = []
             self.version += 1
 
     def disable_link(self, u: int, v: int):
         if self.has_edge(u, v):
-            self._unlink(u, v)
-            self._unlink(v, u)
+            self._cut.update(((u, v), (v, u)))
             self.version += 1
 
     def activate_spare(self, node_id: int):

@@ -165,6 +165,23 @@ class TestEmitOutputs:
         for name in ("distribution.csv", "delays.csv", "energy.csv", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_infeasible_allocation_warns_once(self, bench_scenario_text, tmp_path,
+                                              monkeypatch):
+        # only the adaptive split can fall short of the demand, and the
+        # bound check names that once
+        allocate = harness.allocate
+
+        def short(scheme, *args):
+            dist = allocate(scheme, *args)
+            return dataclasses.replace(dist, infeasible=scheme is Scheme.ADAPTIVE)
+
+        monkeypatch.setattr(harness, "allocate", short)
+        emit_outputs(run_comparison(parse_scenario(bench_scenario_text)), str(tmp_path))
+        warnings = [line for line in (tmp_path / "report.txt").read_text().splitlines()
+                    if line.startswith("warning ")]
+        assert [w for w in warnings if "capacity" in w] == [
+            "warning adaptive: aggregate raw capacity below demand; bounds may be exceeded"]
+
 
 FIELD_FAULTS = """
 field.nodes 1500

@@ -248,17 +248,23 @@ class TestLargeField:
         g, table = field_50k
         assert table.format_routes() == FIELD_50K_ROUTES
 
-    def test_few_neighbour_lists(self, field_50k):
-        # discovery reads the shared base rows and makes no list; a list is
-        # made only for a node asked about, in the graph that was asked
+    def test_discovery_leaves_the_graph_as_it_was(self, field_50k):
+        # discovery only reads the graph: searching again finds the same
+        # routes and leaves every node's state and links as they were
         g, table = field_50k
-        assert g._lists == {}
+        ids = range(len(g))
+
+        def view():
+            return (g.version, g.spares,
+                    [(g.alive(i), g.residual(i), g.neighbors(i)) for i in ids])
+
+        before = view()
+        routes = discover_disjoint_paths(g, table.source, table.sink)
+        assert [r.nodes for r in routes] == [r.nodes for r in table.routes]
+        assert view() == before
         h = g.copy()
-        hops = [(u, v) for r in table.routes
-                for u, v in zip(r.nodes, r.nodes[1:])]
-        assert all(h.has_edge(u, v) for u, v in hops)
-        assert set(h._lists) == {u for u, v in hops}
-        assert g._lists == {}
+        assert all(h.has_edge(u, v) for r in table.routes
+                   for u, v in zip(r.nodes, r.nodes[1:]))
 
 
 class TestEstimate:

@@ -254,17 +254,17 @@ class TestAdjacencyBuild:
         assert all(g.neighbors(i) == want[i] for i in range(len(g)))
 
     def test_copy_lists_stay_apart(self):
-        # a list made or written in one graph never shows in another
+        # a cut or a failure in one graph never shows in another
         g = grid_graph()
-        g.neighbors(0)
         h = g.copy()
-        h.neighbors(1)
         h.disable_link(0, 1)
-        assert set(g._lists) == {0}
         assert g.neighbors(0) == [1] and g.neighbors(1) == [0, 2]
         g.fail_node(2)
-        assert set(h._lists) == {0, 1}
         assert h.neighbors(1) == [2] and h.neighbors(2) == [1]
+        assert h.neighbors(0) == [] and g.neighbors(1) == [0]
+        # a list handed out is the caller's own
+        g.neighbors(0).clear()
+        assert g.neighbors(0) == [1]
 
     def test_copy_is_independent(self):
         g = grid_graph(spares=(2,))
@@ -314,7 +314,6 @@ class TestRows:
         g = mixed_graph()
         assert g.neighbors(2) == [] and g.neighbors(77) == []
         assert not g.has_edge(2, 3) and not g.has_edge(3, 2)
-        assert set(g._lists) == {0, 2, 3}
 
     def test_copy_shares_read_only_base(self):
         g = mixed_graph()
@@ -351,19 +350,25 @@ class TestLinksFrom:
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                     min_size=1, max_size=20),
            st.sampled_from([1.0, 2.0, 3.0]), st.lists(EDITS, max_size=10),
-           st.data())
-    def test_edited_graphs_agree_with_neighbors(self, points, radio, edits, data):
-        # the gather over many rows reads the same adjacency as neighbors
-        # after any mix of failures, cuts and lookups, on a graph or a copy
+           st.integers(0, 10), st.lists(st.integers(0, 19), unique=True))
+    # a cut whose end later fails, the cut made in the copy
+    @example([(0, 0), (1, 0), (2, 0), (1, 1)], 1.0,
+             [("disable_link", 0, 1), ("fail_node", 1)], 0, [0, 1, 2, 3])
+    def test_edited_graphs_agree_with_neighbors(self, points, radio, edits,
+                                                copy_at, ids):
+        # the gather over many rows and has_edge read the same adjacency as
+        # neighbors after any mix of failures, cuts and lookups, on a graph
+        # or a copy made before edit ``copy_at``
         g = TopologyGraph([(float(x), float(y)) for x, y in points], radio, 1.0)
-        copy_at = data.draw(st.integers(0, len(edits)))
         for k, (op, *args) in enumerate(edits):
             if k == copy_at:
                 g = g.copy()
             if args[0] in g and (op != "disable_link" or args[1] in g):
                 getattr(g, op)(*args)
-        ids = data.draw(st.lists(st.sampled_from(range(len(g))), unique=True))
+        ids = [i for i in ids if i in g]
         assert links_by_id(g, ids) == links_by_neighbors(g, ids)
+        for u in ids:
+            assert all(g.has_edge(u, v) == (v in g.neighbors(u)) for v in ids)
 
 
 class TestDeploy:
