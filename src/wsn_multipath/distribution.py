@@ -59,7 +59,7 @@ class Distribution:
     scheme: Scheme
     allocations: tuple[tuple[int, int], ...]  # (path_id, packets)
     total: int
-    infeasible: bool = False  # aggregate raw capacity fell short of demand
+    infeasible: bool = False  # no integer split meets every path's bound
 
     def __post_init__(self):
         if sum(d for _, d in self.allocations) != self.total:
@@ -141,16 +141,16 @@ def largest_remainder(shares: list[float], total: int) -> list[int]:
     return out
 
 
-def normalize_distribution(raw: list[tuple[int, float]], D: int,
-                           scheme: Scheme = Scheme.ADAPTIVE) -> Distribution:
+def normalize_distribution(raw: list[tuple[int, float]], D: int) -> Distribution:
     """Rescale raw per-path capacities onto the integer demand D.
 
     Each path receives (raw_j / sum(raw)) * D packets, rounded by the
-    largest-remainder method so the result sums to D exactly. When the
-    aggregate raw capacity is below D the rescale runs in the same way but
-    the result is flagged infeasible, because some bound must then be
-    exceeded. A shortfall within ``_BOUND_SLACK`` of D is rounding in the
-    roots, not a lack of capacity, and is not flagged.
+    largest-remainder method so the result sums to D exactly. A path meets
+    its bound with at most floor(raw_j) packets, so when those floors sum
+    to less than D no integer split meets every bound; the rescale runs in
+    the same way, and the result is flagged infeasible. A raw capacity
+    within ``_BOUND_SLACK`` of an integer counts as that integer: the gap is
+    rounding in the roots, not a lack of capacity.
     """
     if D < 0:
         raise ValueError(f"demand must be >= 0, got {D}")
@@ -160,16 +160,16 @@ def normalize_distribution(raw: list[tuple[int, float]], D: int,
     if total_raw == 0:
         if D == 0:
             allocs = tuple((pid, 0) for pid, _ in raw)
-            return Distribution(scheme=scheme, allocations=allocs, total=0)
+            return Distribution(scheme=Scheme.ADAPTIVE, allocations=allocs, total=0)
         raise NoCapacityError("all paths report zero capacity but demand is positive")
     shares = [r / total_raw * D for _, r in raw]
     counts = largest_remainder(shares, D)
     allocs = tuple((pid, c) for (pid, _), c in zip(raw, counts))
     return Distribution(
-        scheme=scheme,
+        scheme=Scheme.ADAPTIVE,
         allocations=allocs,
         total=D,
-        infeasible=total_raw < D * (1.0 - _BOUND_SLACK),
+        infeasible=sum(math.floor(r * (1.0 + _BOUND_SLACK)) for _, r in raw) < D,
     )
 
 
@@ -201,7 +201,7 @@ def allocate(scheme: Scheme, ep: EnergyParams, paths: list[PathProfile], D: int)
             raise ValueError(f"path {p.path_id}: the EDP-bounded packet capacity "
                              f"is not finite (got {capacity})")
         raw.append((p.path_id, capacity))
-    return normalize_distribution(raw, D, scheme=Scheme.ADAPTIVE)
+    return normalize_distribution(raw, D)
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def verify_edp_bound(ep: EnergyParams, paths: list[PathProfile], dist: Distribut
         checks.append(EdpCheck(path_id=pid, packets=delta, edp=edp, budget=budget, passed=ok))
     notes = []
     if dist.infeasible:
-        notes.append("aggregate raw capacity below demand; bounds may be exceeded")
+        notes.append("no integer split meets every path's bound")
     notes.extend(
         f"path {c.path_id} exceeds the average-path budget: "
         f"{c.edp:.6g} > {c.budget:.6g}" for c in checks if not c.passed)

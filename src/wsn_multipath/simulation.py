@@ -41,24 +41,28 @@ it does not depend on the order the charges were made in.
 
 Between disruptions a path's progress follows from its hop time and its
 charge counts alone, so the engine advances every path in one window instead
-of stepping every hop. A disruption is the next scripted fault, a pending
-beacon exchange or detection timer, a route with a dead node or broken link,
-or a route node whose residual energy could reach zero. The window builds hop
-times by the same chain of ``t + tau`` additions stepping makes; a closed form
-such as ``t0 + k * H * tau`` would change the low bits and could move a hop
-across a fault scheduled on it. Each route node then takes the window's
-arrival, injection and delivery counts as one charge per unit. At the
+of stepping every hop. A window starts only when every running path's one
+pending event is the arrival of its hop in flight; a pending send, a path's
+first hop at t=0 or the hop a repair resumes, pops stepped. A window ends at
+the next possible disruption: a scripted fault, a pending beacon exchange or
+detection timer, a route with a dead node or broken link, or a route node
+whose residual energy could reach zero. Each path's walk (``_walk``) builds
+its hop times by the same chain of ``t + tau`` additions stepping makes; a
+closed form such as ``t0 + k * H * tau`` would change the low bits and could
+move a hop across a fault scheduled on it. Each route node then takes the
+walk's arrival, injection and delivery counts as one charge per unit. At the
 window's end each path in flight pushes its ``PacketArrive``, as stepping
 would, and stale events (``_stale``), which the main loop would drop
 unhandled, are dropped. The result is bit-identical to stepping.
 
 ``SimConfig.trace`` is the run's line sink, a text writable or None; it
 decides only whether lines are written, not how the engine runs. A stepped pop
-writes its event's line, and a window the lines of the sends and arrivals it
-consumes, in chunks and before it changes any path (``_write_window``). No
-line is held once written. Windows start only after every earlier event has
-popped, so the trace lists each event the engine acts on, in pop order; an
-event no handler would act on is skipped in both modes and has no line.
+writes its event's line, and a window the lines of the arrivals it consumes
+and of the sends they start, in chunks, from each path's hop and packet as
+they stood before its walk (``_write_window``). No line is held once written.
+Windows start only after every earlier event has popped, so the trace lists
+each event the engine acts on, in pop order; an event no handler would act on
+is skipped in both modes and has no line.
 """
 
 from __future__ import annotations
@@ -290,11 +294,9 @@ _RUNNING, _FAILED, _DONE = "running", "failed", "done"
 # pending events that end a window at their time
 _WINDOW_STOPS = (EventKind.FAULT_TRIGGER, EventKind.BEACON_SEND,
                  EventKind.BEACON_RESULT)
-# the one pending event of a path that a window may advance: a hop about to
-# be sent, or a hop in flight
-_CLEAN_HOPS = (EventKind.PACKET_SEND, EventKind.PACKET_ARRIVE)
 # the events a path's own state can make stale
-_PATH_EVENTS = _CLEAN_HOPS + (EventKind.TIMER_EXPIRE,)
+_PATH_EVENTS = (EventKind.PACKET_SEND, EventKind.PACKET_ARRIVE,
+                EventKind.TIMER_EXPIRE)
 
 
 class _PathRun:
@@ -312,7 +314,6 @@ class _PathRun:
         self.dropped = 0
         self.retrans = 0
         self.state = _RUNNING if total > 0 else _DONE
-        self.pkt: int | None = None
         self.hop = 0          # current hop index: nodes[hop] -> nodes[hop+1]
         self.hop_start = 0.0  # send time of the current hop
         self.attempt = 0
@@ -320,12 +321,16 @@ class _PathRun:
         self.armed: int | None = None  # the hop instance whose timer is pushed
         self.last_recovery_instance: int | None = None
         self.unheard: int | None = None  # hop instance with one check ended unheard
-        self.delivery_time = 0.0
-        self.resolved_time = 0.0
+        self.resolved_time = 0.0  # the last delivery, or the failure
 
     @property
     def hops(self) -> int:
         return len(self.nodes) - 1
+
+    @property
+    def pkt(self) -> int:
+        # the packet on the route: the last one injected
+        return self.base_pkt + self.sent - 1
 
 
 @dataclass
@@ -391,19 +396,19 @@ class _WindowLines:
     """One path's trace lines in a window, built in chunks.
 
     A unit is a hop: an arrival's line and that of the send it starts at the
-    same time, which pops right after it. A window that starts at a pending
-    send opens with that send's line alone, and the arrival that delivers
-    the path's last packet starts no send.
+    same time, which pops right after it. The arrival that delivers the
+    path's last packet starts no send. A lane is made from its path before
+    the path's walk, whose hop count then sets ``units`` and whose end sets
+    ``done``.
     """
 
-    def __init__(self, pr: _PathRun, s: float, a: float, sending: bool,
-                 k: int, done: bool):
+    def __init__(self, pr: _PathRun, a: float):
         self.path_id, self.tau, self.hops = pr.path_id, pr.profile.tau, pr.hops
-        # unit i holds the arrival of hop ``hop + i - first`` and the send of
-        # the next, counting on from hop ``hop`` of packet ``pkt``
-        self.hop, self.pkt, self.first = pr.hop, pr.pkt, int(sending)
-        self.units, self.done = self.first + k, done
-        self.next = s if sending else a           # the next unit's time
+        # unit i holds the arrival of hop ``hop + i`` and the send of the
+        # next, counting on from the hop in flight, ``hop`` of packet ``pkt``
+        self.hop, self.pkt = pr.hop, pr.pkt
+        self.units, self.done = 0, False
+        self.next = a                             # the next unit's time
         self.taken, self.times = 0, np.empty(0)   # times: built, not taken
         links = list(zip(pr.nodes, pr.nodes[1:]))
         self.send, self.arrive = (
@@ -423,9 +428,9 @@ class _WindowLines:
 
     def take(self, n: int) -> tuple:
         """The next ``n`` units: their times, the eight pieces of their two
-        lines with the times left out, and which units have each line."""
+        lines with the times left out, and which units have a send."""
         unit = np.arange(self.taken, self.taken + n)
-        pos = self.hop + unit - self.first
+        pos = self.hop + unit
         pkt = self.pkt + pos // self.hops
         nxt = self.pkt + (pos + 1) // self.hops
         ids = np.array([str(p) for p in range(pkt[0], nxt[-1] + 1)], dtype=object)
@@ -435,13 +440,11 @@ class _WindowLines:
         pieces[:, 3] = pieces[:, 7] = self.end
         pieces[:, 5] = self.send[(pos + 1) % self.hops]
         pieces[:, 6] = ids[nxt - pkt[0]]
-        arrives = unit >= self.first
         sends = (unit < self.units - 1) | (not self.done)
-        pieces[~arrives, 1:4] = ""
         pieces[~sends, 5:] = ""
         times, self.times = self.times[:n], self.times[n:]
         self.taken += n
-        return times, pieces, arrives, sends
+        return times, pieces, sends
 
 
 def _write_window(trace: TextIO, lanes: list[_WindowLines]):
@@ -461,14 +464,14 @@ def _write_window(trace: TextIO, lanes: list[_WindowLines]):
                 lane.times, t, "right" if lane.path_id < pid else "left"))
             if n:
                 parts.append((np.full(n, lane.path_id),) + lane.take(n))
-        lane_ids, times, pieces, arrives, sends = map(np.concatenate, zip(*parts))
+        lane_ids, times, pieces, sends = map(np.concatenate, zip(*parts))
         if len(parts) > 1:  # a stable sort: each lane's units keep their order
             order = np.lexsort((lane_ids, times))
-            times, pieces, arrives, sends = (x[order] for x in (times, pieces, arrives, sends))
+            times, pieces, sends = (x[order] for x in (times, pieces, sends))
         new = np.r_[True, times[1:] != times[:-1]]  # each distinct time formatted once
         stamps = np.array([format(x, _TRACE_TIME) for x in times[new].tolist()],
                           dtype=object)[new.cumsum() - 1]
-        pieces[:, 0] = np.where(arrives, stamps, "")
+        pieces[:, 0] = stamps
         pieces[:, 4] = np.where(sends, stamps, "")
         trace.write("".join(pieces.ravel().tolist()))
         lanes = [lane for lane in lanes if lane.taken < lane.units]
@@ -544,7 +547,6 @@ class _Engine:
     # -- pipeline ---------------------------------------------------------
 
     def _inject(self, t: float, pr: _PathRun):
-        pr.pkt = pr.base_pkt + pr.sent
         pr.sent += 1
         pr.hop = 0
         # acquisition: the source receives the payload from its sensing stage
@@ -580,9 +582,7 @@ class _Engine:
 
     def _deliver(self, t: float, pr: _PathRun):
         pr.delivered += 1
-        pr.delivery_time = t
         pr.resolved_time = t
-        pr.pkt = None
         if pr.sent < pr.total:
             self._inject(t, pr)
         elif pr.delivered + pr.dropped == pr.total:
@@ -593,7 +593,6 @@ class _Engine:
         pr.state = _FAILED
         remaining = pr.total - pr.delivered
         pr.dropped += remaining
-        pr.pkt = None
         pr.resolved_time = t
         self.records.append(FaultRecord(
             time=t, path_id=pr.path_id, case=case, failed_node=failed,
@@ -643,7 +642,6 @@ class _Engine:
             time=t, path_id=pr.path_id, case=case, failed_node=failed,
             initiator=initiator, replacement=spliced[0], drove_recovery=True,
             note="" if len(spliced) == 1 else "detour " + ",".join(map(str, spliced))))
-        pr.state = _RUNNING
         # resume from the last alive holder of the packet once the detour is briefed
         pr.hop = lo
         self._start_hop(t + self.tau_ctrl, pr)
@@ -735,7 +733,7 @@ class _Engine:
             self._unheard(ev.time, pr, ev.instance)
             return
         self._ctrl_rx(a)
-        b = pr.nodes[pr.hop + 1] if pr.hop + 1 < len(pr.nodes) else a
+        b = pr.nodes[pr.hop + 1]
         if pr.state == _RUNNING and ev.instance == pr.instance:
             self._begin_recovery(ev.time, pr, FaultCase.HOP_UNREACHABLE,
                                  failed=b, initiator=a)
@@ -761,7 +759,7 @@ class _Engine:
         elif ev.instance == pr.last_recovery_instance and self.g.alive(b):
             self.records.append(FaultRecord(
                 time=ev.time, path_id=pr.path_id, case=FaultCase.NODE_SILENT,
-                failed_node=pr.nodes[pr.hop] if pr.hop < len(pr.nodes) else b,
+                failed_node=pr.nodes[pr.hop],
                 initiator=b, replacement=None,
                 drove_recovery=False, note="lost race"))
 
@@ -819,23 +817,19 @@ class _Engine:
             horizon = min(horizon, now + budget / per_s)
         return horizon
 
-    def _advance(self, pr: _PathRun, s: float, a: float,
-                 horizon: float) -> tuple[int, int, float, float]:
-        """Count the hops of ``pr`` that arrive before ``horizon``; changes
-        nothing.
+    def _walk(self, pr: _PathRun, a: float, horizon: float) -> int:
+        """Move ``pr`` through its hops that arrive before ``horizon`` and
+        charge them; returns their number, and with none changes nothing.
 
-        The hop in flight was sent at ``s`` and arrives at ``a``; later hop
-        times are built by the same ``t + tau`` chain stepping builds. Returns
-        the number of arrivals, the packets they delivered, the send time of
-        the hop now in flight (or of the last one), and the time of the last
-        delivery.
+        The hop in flight arrives at ``a``; later hop times are built by the
+        same ``t + tau`` chain stepping builds.
         """
         tau = pr.profile.tau
         hops = pr.hops
         n = hops - pr.hop            # arrivals left for the packet in flight
         left = pr.total - pr.sent    # packets not yet injected
         k = delivered = 0
-        last = 0.0
+        s = last = 0.0               # the last send, and the last delivery
         while True:
             n0 = n
             while n and a < horizon:
@@ -850,17 +844,9 @@ class _Engine:
             if delivered > left:
                 break
             n = hops
-        return k, delivered, s, last
-
-    def _apply_hops(self, pr: _PathRun, k: int, delivered: int, s: float,
-                    last: float):
-        """Apply the charges and state changes of ``k`` arrivals, of which
-        ``delivered`` delivered a packet, the last at ``last``; ``s`` is the
-        send time of the hop now in flight.
-        """
-        tau = pr.profile.tau
-        hops = pr.hops
-        done = delivered > pr.total - pr.sent
+        if not k:
+            return 0
+        done = delivered > left
         injects = delivered - done
         # arrivals per hop index
         full, extra = divmod(k, hops)
@@ -877,23 +863,23 @@ class _Engine:
         pr.delivered += delivered
         pr.sent += injects
         if delivered:
-            pr.delivery_time = pr.resolved_time = last
+            pr.resolved_time = last
         if done:
             pr.state = _DONE
-            pr.pkt = None
             pr.hop = hops - 1
             pr.instance += k - 1
         else:
             pr.hop = (pr.hop + k) % hops
-            pr.pkt = pr.base_pkt + pr.sent - 1
             pr.instance += k
             pr.hop_start = s
+        return k
 
     def _fast_forward(self, now: float) -> bool:
         """Advance every running path through one window that ends before
         the next possible disruption; ``now`` is the earliest pending event
-        time, and every event popped so far is earlier. Returns False, having
-        changed nothing, when no path can advance.
+        time, and every event popped so far is earlier. A window opens only
+        when each running path's one live event is its hop in flight.
+        Returns False, having changed nothing, when no path can advance.
         """
         running = [self.paths[pid] for pid in sorted(self.paths)
                    if self.paths[pid].state == _RUNNING]
@@ -915,36 +901,33 @@ class _Engine:
                 horizon = min(horizon, item[0])
         if horizon <= now:
             return False
-        if any(len(items) != 1 or items[0][-1].kind not in _CLEAN_HOPS
+        if any(len(items) != 1 or items[0][-1].kind is not EventKind.PACKET_ARRIVE
                for items in pending.values()):
             return False
-        walks = []
+        trace = self.config.trace
+        walked, lanes = [], []
         for pr in running:
             (item,) = pending[pr.path_id]
-            t0, sending = item[0], item[-1].kind is EventKind.PACKET_SEND
-            s, a = (t0, t0 + pr.profile.tau) if sending else (pr.hop_start, t0)
-            k, delivered, end, last = self._advance(pr, s, a, horizon)
-            if not k and not (sending and t0 < horizon):
+            lane = _WindowLines(pr, item[0]) if trace is not None else None
+            k = self._walk(pr, item[0], horizon)
+            if not k:
                 kept.append(item)
                 continue
-            walks.append((pr, s, a, sending, k, delivered, end, last))
-        if not walks:
+            walked.append(pr)
+            if lane is not None:
+                lane.units, lane.done = k, pr.state == _DONE
+                lanes.append(lane)
+        if not walked:
             return False
-        if self.config.trace is not None:
-            # every path's lines in pop order, before any path changes
-            _write_window(self.config.trace, [
-                _WindowLines(pr, s, a, sending, k, delivered > pr.total - pr.sent)
-                for pr, s, a, sending, k, delivered, *_ in walks])
+        if lanes:
+            _write_window(trace, lanes)  # every path's lines in pop order
         kept.sort()
         self.heap[:] = kept
-        for pr, s, a, sending, k, delivered, end, last in walks:
-            if k:
-                self._apply_hops(pr, k, delivered, end, last)
-                if pr.state == _DONE:
-                    continue  # nothing left in flight
-            self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
-                       node_from=pr.nodes[pr.hop], node_to=pr.nodes[pr.hop + 1],
-                       packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
+        for pr in walked:
+            if pr.state == _RUNNING:  # a hop still in flight
+                self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
+                           node_from=pr.nodes[pr.hop], node_to=pr.nodes[pr.hop + 1],
+                           packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
         return True
 
     # -- main loop --------------------------------------------------------
@@ -999,7 +982,7 @@ class _Engine:
                 report.failed_paths.append(pid)
                 report.path_delays[pid] = math.inf
             else:
-                report.path_delays[pid] = pr.delivery_time
+                report.path_delays[pid] = pr.resolved_time
         report.completion_time = max(
             (pr.resolved_time for pr in self.paths.values()), default=0.0)
         if not math.isfinite(report.completion_time):

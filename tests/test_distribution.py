@@ -157,6 +157,13 @@ class TestNormalize:
         assert not dist.infeasible
         assert normalize_distribution([(1, 50.0), (2, 49.99)], 100).infeasible
 
+    def test_no_integer_split_is_infeasible(self):
+        # the capacities sum past D, but their floors do not: 50 + 49 < 100,
+        # so any split of 100 puts one path past its bound
+        dist = normalize_distribution([(1, 50.5), (2, 49.6)], 100)
+        assert dist.as_list() == [50, 50]
+        assert dist.infeasible
+
     def test_no_capacity(self):
         with pytest.raises(NoCapacityError):
             normalize_distribution([(1, 0.0), (2, 0.0)], 5)

@@ -559,8 +559,9 @@ def test_window_hop_times_are_the_stepped_chain(t0, tau):
     n = 250_000
     pr = _PathRun(1, [0, 2, 3, 1], PathProfile(path_id=1, H=3, tau=tau, T_dist=100.0),
                   total=n, base_pkt=0, j_tx=0.0, j_ctrl_tx=0.0)
-    pr.pkt = 0
-    lane = _WindowLines(pr, t0 - tau, t0, sending=False, k=n, done=False)
+    pr.sent = 1
+    lane = _WindowLines(pr, t0)
+    lane.units = n
     times = []
     while lane.taken < lane.units:
         lane.build(simulation._TRACE_CHUNK)

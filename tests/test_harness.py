@@ -179,8 +179,8 @@ class TestEmitOutputs:
         emit_outputs(run_comparison(parse_scenario(bench_scenario_text)), str(tmp_path))
         warnings = [line for line in (tmp_path / "report.txt").read_text().splitlines()
                     if line.startswith("warning ")]
-        assert [w for w in warnings if "capacity" in w] == [
-            "warning adaptive: aggregate raw capacity below demand; bounds may be exceeded"]
+        assert [w for w in warnings if "integer split" in w] == [
+            "warning adaptive: no integer split meets every path's bound"]
 
 
 FIELD_FAULTS = """

@@ -1,6 +1,8 @@
 import hashlib
+import heapq
 import io
 import math
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -668,6 +670,24 @@ class TestRandomFieldRecovery:
             assert len(repaired) == len(set(repaired)) <= len(cfg.faults.events)
             assert [(fr.failed_node, fr.replacement) for fr in rep.fault_records
                     if fr.path_id == 1] == [(34, 657)]
+
+    def test_windows_resume_after_repairs(self):
+        # a repair resumes its hop by a send that pops stepped; once it has
+        # popped, every path has a hop in flight again and windows resume, so
+        # the windowed run pops a small share of the events stepping pops
+        cfg = parse_scenario(FIELD_FAULTS_PINNED)
+
+        def pops(windows: bool) -> int:
+            counting = mock.Mock(wraps=heapq)
+            no_windows = mock.patch.object(_Engine, "_fast_forward",
+                                           lambda self, now: False)
+            with mock.patch.object(simulation, "heapq", counting), (
+                    nullcontext() if windows else no_windows):
+                run_comparison(cfg)
+            return counting.heappop.call_count
+
+        windowed, stepped = pops(True), pops(False)
+        assert 10 * windowed < stepped, (windowed, stepped)
 
     def test_one_fault_on_the_50k_field(self):
         # the benchmark's 50,000-node field loses relay 10432 of route 1: one
