@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .model import LinkParams, PathProfile, per_hop_delay
 from .topology import TopologyGraph
 
@@ -91,6 +89,8 @@ def _shortest_hops(g: TopologyGraph, source: int, sink: int,
         return [source]
     if source not in g or sink not in g:
         return None
+    import numpy as np
+
     n = len(g)
     seen = np.zeros(n, dtype=bool)      # nodes no expansion may enter
     seen[list(removed - {sink})] = True

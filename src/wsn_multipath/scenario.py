@@ -239,6 +239,12 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
                 f"need 1 or {len(cfg.hops)} tau values, got {len(taus)}",
                 "paths.tau", lines.get("paths.tau"))
         cfg.taus = taus
+        # the layout puts path j's node i at x = distance * i / hops_j, and
+        # distance * i must not overflow on the longest path
+        if not math.isfinite(cfg.t_dist * (max(cfg.hops) - 1)):
+            raise ScenarioError(
+                f"path distance {cfg.t_dist:g} puts a node of a {max(cfg.hops)}-hop "
+                f"path at an infinite position", "paths.distance", lines.get("paths.distance"))
         # the synthesized layout's source, sink, path interiors and spares
         node_count = 2 + sum(h - 1 for h in cfg.hops) + cfg.redundant
 

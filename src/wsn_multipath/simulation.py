@@ -74,8 +74,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TextIO
 
-import numpy as np
-
 from .model import (EnergyParams, LinkParams, PathProfile, per_hop_delay,
                     rx_energy_per_bit, tx_energy_per_bit)
 from .distribution import Distribution
@@ -399,10 +397,12 @@ class _WindowLines:
     same time, which pops right after it. The arrival that delivers the
     path's last packet starts no send. A lane is made from its path before
     the path's walk, whose hop count then sets ``units`` and whose end sets
-    ``done``.
+    ``done``. Only a traced run makes lanes, so only it imports numpy here.
     """
 
     def __init__(self, pr: _PathRun, a: float):
+        import numpy as np
+
         self.path_id, self.tau, self.hops = pr.path_id, pr.profile.tau, pr.hops
         # unit i holds the arrival of hop ``hop + i`` and the send of the
         # next, counting on from the hop in flight, ``hop`` of packet ``pkt``
@@ -418,6 +418,8 @@ class _WindowLines:
 
     def build(self, n: int):
         """Build the times of the next ``n`` units not yet taken."""
+        import numpy as np
+
         more = min(self.units, self.taken + n) - self.taken - len(self.times)
         if more > 0:  # accumulate adds in sequence: stepping's t + tau chain
             steps = np.full(more + 1, self.tau)
@@ -429,6 +431,8 @@ class _WindowLines:
     def take(self, n: int) -> tuple:
         """The next ``n`` units: their times, the eight pieces of their two
         lines with the times left out, and which units have a send."""
+        import numpy as np
+
         unit = np.arange(self.taken, self.taken + n)
         pos = self.hop + unit
         pkt = self.pkt + pos // self.hops
@@ -449,6 +453,8 @@ class _WindowLines:
 
 def _write_window(trace: TextIO, lanes: list[_WindowLines]):
     """Write the lanes' lines in pop order, ``_TRACE_CHUNK`` units at a time."""
+    import numpy as np
+
     per = max(1, _TRACE_CHUNK // len(lanes))
     while lanes:
         for lane in lanes:

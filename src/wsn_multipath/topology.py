@@ -7,7 +7,9 @@ it is made: a uniform cell grid gives them in blocks (``_pairs_within``),
 and one numpy sort turns them into a base adjacency in CSR form, node ``u``'s
 neighbours being ``indices[indptr[u]:indptr[u + 1]]`` in ascending order. The
 positions and the base arrays are never written, so every ``copy`` shares
-them.
+them. numpy is imported by the functions that make or read those arrays,
+so importing this module, or parsing and validating a scenario, does not
+load it; the first graph built does.
 
 Each graph keeps its own link state as two small sets over that base: the
 failed ids, and the cut links, each disabled link in both directions. One
@@ -33,8 +35,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TopologyGraph",
@@ -60,6 +65,8 @@ def _pairs_within(pts: np.ndarray, r: float) -> list[tuple[np.ndarray, np.ndarra
     Each kind of span is expanded and tested a block at a time, and the
     blocks' hits are kept as they are, to bound memory.
     """
+    import numpy as np
+
     n, r = len(pts), float(r)
     if n < 2:
         return []
@@ -106,6 +113,8 @@ class TopologyGraph:
                  spares=()):
         if not radio_range > 0:
             raise ValueError(f"radio range must be > 0, got {radio_range}")
+        import numpy as np
+
         pts = np.array(positions, dtype=np.float64).reshape(-1, 2)
         n = len(pts)
         finite = np.isfinite(pts).all(axis=1)
@@ -158,7 +167,9 @@ class TopologyGraph:
         return len(self._pos)
 
     def __contains__(self, node_id) -> bool:
-        return isinstance(node_id, (int, np.integer)) and 0 <= node_id < len(self._pos)
+        # numpy registers its integer scalars as numbers.Integral; int comes
+        # first so that the engine's plain ids skip the slower ABC check
+        return isinstance(node_id, (int, numbers.Integral)) and 0 <= node_id < len(self._pos)
 
     def alive(self, node_id: int) -> bool:
         return node_id in self and node_id not in self._failed
@@ -197,6 +208,8 @@ class TopologyGraph:
     def links_from(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every link out of the nodes ``ids``, as arrays ``(from, to)``: the
         base rows, less the pairs with a failed end or a cut."""
+        import numpy as np
+
         starts = self._indptr[ids]
         counts = self._indptr[ids + 1] - starts
         # gathered entry k of node i sits at indices[starts[i] + k - first[i]]
@@ -248,6 +261,8 @@ def deploy_field(area: tuple[float, float], node_count: int, seed: int,
         raise ValueError(f"area dimensions must be positive, got {area}")
     if node_count < 0:
         raise ValueError(f"node count must be >= 0, got {node_count}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, w, node_count)
     ys = rng.uniform(0.0, h, node_count)

@@ -262,25 +262,31 @@ class TestArgparse:
         assert exc.value.code == 2
 
 
+CLI = "import sys; from wsn_multipath.cli import main; sys.exit(main())"
+
+
+def python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:
+    """``python -c code *args`` in a new process that imports this package."""
+    src = str(Path(wsn_multipath.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestWithoutScipy:
     """The command line never imports scipy: a run in a process where any
     scipy import fails writes the same bytes as a normal run."""
 
-    PLAIN = "import sys; from wsn_multipath.cli import main; sys.exit(main())"
-    BLOCKED = "import sys; sys.modules['scipy'] = None; " + PLAIN
+    BLOCKED = "import sys; sys.modules['scipy'] = None; " + CLI
 
     def outputs(self, prelude, scenario, run_dir, *args):
         run_dir.mkdir()
-        src = str(Path(wsn_multipath.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", prelude, "run", str(scenario), "--out", "out", *args],
-            cwd=run_dir, capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+        proc = python(prelude, "run", str(scenario), "--out", "out", *args, cwd=run_dir)
         files = {f.name: f.read_bytes() for f in sorted((run_dir / "out").glob("*"))}
         return proc.returncode, proc.stdout, proc.stderr, files
 
     def test_bundled_scenario(self, bench_path, tmp_path):
-        plain = self.outputs(self.PLAIN, bench_path, tmp_path / "plain")
+        plain = self.outputs(CLI, bench_path, tmp_path / "plain")
         assert plain[0] == 0 and b"Traceback" not in plain[2]
         assert self.outputs(self.BLOCKED, bench_path, tmp_path / "blocked") == plain
 
@@ -290,6 +296,48 @@ class TestWithoutScipy:
         assert main(["paths", str(scn)]) == 0
         route = capsys.readouterr().out.splitlines()[0].split(": ")[1].split(",")
         scn.write_text(SMALL_FIELD + f"fault node_fail 0.05 {route[1]}\n")
-        plain = self.outputs(self.PLAIN, scn, tmp_path / "plain", "--trace")
+        plain = self.outputs(CLI, scn, tmp_path / "plain", "--trace")
         assert plain[0] in (0, 3) and "trace_single_path.txt" in plain[3]
         assert self.outputs(self.BLOCKED, scn, tmp_path / "blocked", "--trace") == plain
+
+
+class TestWithoutNumpy:
+    """Parsing and checking a scenario, and the closed-form model and split,
+    build no array: in a process where any numpy import fails, ``validate``
+    and the package's allocation API work as in a normal process."""
+
+    NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+    @pytest.mark.parametrize("text, code", [
+        (None, 0),
+        (SMALL_FIELD + "fault node_fail 0.05 7\nfault link_fail 0.1 3 4\n", 0),
+        (BAD_FIELD, 1),
+    ], ids=["bundled", "field_with_faults", "bad"])
+    def test_validate(self, text, code, bench_path, tmp_path):
+        scn = bench_path
+        if text is not None:
+            scn = tmp_path / "s.scenario"
+            scn.write_text(text)
+        plain = python(CLI, "validate", str(scn))
+        assert plain.returncode == code and b"Traceback" not in plain.stderr
+        if code:
+            assert b"line 3" in plain.stderr
+        blocked = python(self.NO_NUMPY + CLI, "validate", str(scn))
+        assert ((blocked.returncode, blocked.stdout, blocked.stderr)
+                == (plain.returncode, plain.stdout, plain.stderr))
+
+    def test_package_and_readme_allocation(self):
+        # README's quick start
+        proc = python(self.NO_NUMPY + """
+from wsn_multipath import EnergyParams, PathProfile, Scheme, allocate
+ep = EnergyParams(e_t=0.128, e_d=0.0, e_r=0.1024, K_r=0.024, S=1000.0)
+paths = [PathProfile(path_id=j + 1, H=h, tau=0.02, T_dist=100.0)
+         for j, h in enumerate([9, 22, 5, 20, 7])]
+print(allocate(Scheme.ADAPTIVE, ep, paths, 100).as_list())
+""")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[20, 8, 37, 9, 26]\n", b"")
+
+    def test_a_graph_build_needs_numpy(self, bench_path):
+        # the block is real: the first graph build imports numpy
+        proc = python(self.NO_NUMPY + CLI, "paths", bench_path)
+        assert proc.returncode != 0 and b"numpy" in proc.stderr

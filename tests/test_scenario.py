@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import math
+import sys
+import warnings
 from operator import attrgetter
 from pathlib import Path
 
@@ -332,6 +335,20 @@ energy.k_r 0.01
         e = self.err(self.EXPLICIT_BASE + line + "\n")
         assert (e.field, e.line) == (line.split()[0], 8)
         assert "finite" in str(e)
+
+    def test_distance_that_overflows_the_layout_reports_field_and_line(self):
+        # node i of the base's longest path, 5 hops, sits at x = distance * i / 5
+        edge = sys.float_info.max / 4
+        cfg = parse_scenario(self.EXPLICIT_BASE + f"paths.distance {edge!r}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # squared distances overflow
+            g, _ = build_network(cfg)
+        assert all(map(math.isfinite, itertools.chain(*map(g.position, range(len(g))))))
+        e = self.err(self.EXPLICIT_BASE + f"paths.distance {math.nextafter(edge, math.inf)!r}\n")
+        assert (e.field, e.line) == ("paths.distance", 8)
+        assert "infinite position" in str(e)
+        e = self.err("paths.hops 3\npaths.distance 1e308\n" + self.EXPLICIT_BASE.split("\n", 2)[2])
+        assert (e.field, e.line) == ("paths.distance", 2)
 
     @pytest.mark.parametrize("base, line", [
         ("RANGE_BASE", "paths.tau nan"),

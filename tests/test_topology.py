@@ -37,6 +37,26 @@ class TestGraphBasics:
         assert not g.alive(3)
         assert g.spares == {2}
 
+    @pytest.mark.parametrize("node_id, member", [
+        (2, True),
+        (np.int64(2), True),
+        (np.uint16(0), True),
+        (np.intp(1), True),
+        (1.0, False),
+        (np.float64(1), False),
+        ("1", False),
+        (None, False),
+        (3, False),
+        (-1, False),
+        (np.int64(3), False),
+        (np.int64(-1), False),
+    ])
+    def test_membership_takes_integer_ids_in_range(self, node_id, member):
+        # numpy's integer scalars are ids, as the graph's own arrays hand them out
+        g = grid_graph()
+        assert (node_id in g) is member
+        assert g.alive(node_id) is member
+
     @pytest.mark.parametrize("spare", [-1, 3, 7])
     def test_spare_outside_the_graph_rejected(self, spare):
         with pytest.raises(ValueError, match=f"spare {spare} is not a node id"):
