@@ -59,11 +59,9 @@ def _cmd_run(args) -> int:
     for r in rep.runs:
         print(f"{r.label}: delay={r.overall_delay:.10g} s, "
               f"energy={r.total_energy:.10g} J")
-    for name, verdict in (("delay ordering", rep.delay_ordering_ok),
-                          ("energy ordering", rep.energy_ordering_ok),
-                          ("energy closeness", rep.closeness_ok)):
+    for name, verdict in rep.verdicts.items():
         if verdict is not None:
-            print(f"{name}: {'PASS' if verdict else 'FAIL'}")
+            print(f"{name.replace('_', ' ')}: {'PASS' if verdict else 'FAIL'}")
     for w in rep.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {', '.join(files)}")

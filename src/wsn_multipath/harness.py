@@ -41,13 +41,6 @@ __all__ = [
     "emit_outputs",
 ]
 
-_SCHEME_LABEL = {
-    Scheme.SINGLE_PATH: "single_path",
-    Scheme.EQUAL_SPLIT: "equal_split",
-    Scheme.ADAPTIVE: "adaptive",
-}
-
-
 @dataclass
 class SchemeRun:
     scheme: Scheme
@@ -57,7 +50,7 @@ class SchemeRun:
 
     @property
     def label(self) -> str:
-        return _SCHEME_LABEL[self.scheme]
+        return self.scheme.name.lower()
 
     @property
     def overall_delay(self) -> float:
@@ -97,9 +90,15 @@ class ComparisonReport:
         raise KeyError(f"scheme {scheme} was not part of this comparison")
 
     @property
+    def verdicts(self) -> dict[str, bool | None]:
+        """Each paper check by its name in report.txt; None when skipped."""
+        return {"delay_ordering": self.delay_ordering_ok,
+                "energy_ordering": self.energy_ordering_ok,
+                "energy_closeness": self.closeness_ok}
+
+    @property
     def all_ok(self) -> bool:
-        verdicts = [self.delay_ordering_ok, self.energy_ordering_ok, self.closeness_ok]
-        return all(v is not False for v in verdicts)
+        return all(v is not False for v in self.verdicts.values())
 
 
 class _TraceFiles:
@@ -173,7 +172,7 @@ def _compare(cfg: ScenarioConfig, traces: _TraceFiles) -> ComparisonReport:
         if scheme is Scheme.ADAPTIVE:
             bound = verify_edp_bound(cfg.ep, profiles, dist)
             warnings.extend(f"adaptive: {w}" for w in bound.warnings)
-        with traces.open(_SCHEME_LABEL[scheme]) as sink:
+        with traces.open(scheme.name.lower()) as sink:
             sim_cfg = SimConfig(max_attempts=cfg.max_attempts,
                                 control_bits=cfg.control_bits,
                                 idle_power=cfg.idle_power, trace=sink)
@@ -223,13 +222,6 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _path_ids(rep: ComparisonReport) -> list[int]:
-    ids: set[int] = set()
-    for r in rep.runs:
-        ids.update(pid for pid, _ in r.distribution.allocations)
-    return sorted(ids)
-
-
 def emit_outputs(rep: ComparisonReport, out_dir: str) -> list[str]:
     """Write distribution.csv, delays.csv, energy.csv and report.txt.
 
@@ -239,7 +231,7 @@ def emit_outputs(rep: ComparisonReport, out_dir: str) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     labels = [r.label for r in rep.runs]
-    paths = _path_ids(rep)
+    paths = sorted(rep.hops_by_path)  # every scheme allocates over every route
     written = []
 
     fn = os.path.join(out_dir, "distribution.csv")
@@ -289,9 +281,7 @@ def emit_outputs(rep: ComparisonReport, out_dir: str) -> list[str]:
             if dropped:
                 fh.write(f"  dropped {dropped}\n")
         fh.write("\n")
-        for name, verdict in (("delay_ordering", rep.delay_ordering_ok),
-                              ("energy_ordering", rep.energy_ordering_ok),
-                              ("energy_closeness", rep.closeness_ok)):
+        for name, verdict in rep.verdicts.items():
             if verdict is None:
                 fh.write(f"check {name} skipped\n")
             else:

@@ -245,6 +245,11 @@ def _validate(raw, lines, fault_lines) -> ScenarioConfig:
             raise ScenarioError(
                 f"path distance {cfg.t_dist:g} puts a node of a {max(cfg.hops)}-hop "
                 f"path at an infinite position", "paths.distance", lines.get("paths.distance"))
+        # nor may the transmit power overflow on the fewest-hop path's hops
+        try:
+            cfg.ep.amplified_tx_power(cfg.t_dist / min(cfg.hops))
+        except ValueError as exc:
+            raise ScenarioError(str(exc), "paths.distance", lines.get("paths.distance")) from None
         # the synthesized layout's source, sink, path interiors and spares
         node_count = 2 + sum(h - 1 for h in cfg.hops) + cfg.redundant
 

@@ -4,8 +4,10 @@ Each path moves one packet at a time: the next packet enters the pipe only
 after the previous one reached the sink, so a fault-free path finishes its
 share in exactly packets * tau * hops seconds. Every node that handles a
 packet pays one transmit and one receive charge (the source receives from the
-sensing stage, the sink transmits the handoff), which makes the communication
-energy of a path equal to the closed-form traffic term. When the round ends,
+sensing stage, the sink transmits the handoff), so on a fault-free path the
+communication energy equals the closed-form traffic term. Every charge counts
+on a path: a retry, and a control exchange (a beacon and its reply, a repair's
+briefing), on the path whose fault it serves. When the round ends,
 every alive node of the route fabric pays idle power for the round minus its
 time on air; sensing is priced by the comparison harness. A node's energy
 ledger is made on its first charge, so the engine's bookkeeping covers the
@@ -193,16 +195,15 @@ class EnergyLedger:
         return led
 
     def charge(self, node_id: int, part: str, joules: float, count: int,
-               busy: float = 0.0, path_id: int | None = None) -> NodeLedger:
+               busy: float, path_id: int) -> NodeLedger:
         """Add ``count`` charges of ``joules`` to the node's ``part`` ("tx"
         or "rx"), each on air for ``busy`` seconds, and to the path's
-        communication energy when ``path_id`` is given."""
+        communication energy."""
         led = self.ensure(node_id)
         getattr(led, part)[joules] += count
         if busy:
             led.busy[busy] += count
-        if path_id is not None:
-            self.path_comm[path_id][joules] += count
+        self.path_comm[path_id][joules] += count
         return led
 
     def residual(self, node_id: int) -> float:
@@ -260,13 +261,6 @@ class FaultCase(Enum):
     HOP_UNREACHABLE = 2  # sender healthy, next hop unreachable; beacon detects
 
 
-def _beacon_neighbor(g: TopologyGraph, sender: int, avoid: int) -> int | None:
-    for nid in g.neighbors(sender):
-        if nid != avoid:
-            return nid
-    return None
-
-
 @dataclass(frozen=True)
 class FaultRecord:
     time: float
@@ -286,8 +280,6 @@ class SimConfig:
     idle_power: float = 0.0
     trace: TextIO | None = None  # where trace lines go as they are made
 
-
-_RUNNING, _FAILED, _DONE = "running", "failed", "done"
 
 # pending events that end a window at their time
 _WINDOW_STOPS = (EventKind.FAULT_TRIGGER, EventKind.BEACON_SEND,
@@ -311,12 +303,10 @@ class _PathRun:
         self.delivered = 0
         self.dropped = 0
         self.retrans = 0
-        self.state = _RUNNING if total > 0 else _DONE
         self.hop = 0          # current hop index: nodes[hop] -> nodes[hop+1]
         self.hop_start = 0.0  # send time of the current hop
         self.attempt = 0
         self.instance = 0     # bumped on every fresh hop start
-        self.armed: int | None = None  # the hop instance whose timer is pushed
         self.last_recovery_instance: int | None = None
         self.unheard: int | None = None  # hop instance with one check ended unheard
         self.resolved_time = 0.0  # the last delivery, or the failure
@@ -324,6 +314,11 @@ class _PathRun:
     @property
     def hops(self) -> int:
         return len(self.nodes) - 1
+
+    @property
+    def running(self) -> bool:
+        # a failed path drops all it has not delivered, so it stops too
+        return self.delivered + self.dropped < self.total
 
     @property
     def pkt(self) -> int:
@@ -529,26 +524,21 @@ class _Engine:
         lane = -1 if kind is EventKind.FAULT_TRIGGER else ev.path_id
         heapq.heappush(self.heap, (time, lane, ev.seq, ev))
 
-    def _check_death(self, node_id: int, led: NodeLedger):
-        # deplete-to-zero kills the node on the spot
+    def _charge(self, node_id: int, part: str, joules: float, busy: float,
+                pr: _PathRun, count: int = 1):
+        """Charge the node and the path whose packets or fault it served;
+        deplete-to-zero kills the node on the spot."""
+        led = self.ledger.charge(node_id, part, joules, count, busy, pr.path_id)
         if led.residual <= 0.0 and self.g.alive(node_id):
             self.g.fail_node(node_id)
 
-    def _data_tx(self, node_id: int, pr: _PathRun, busy: float):
-        self._check_death(node_id, self.ledger.charge(
-            node_id, "tx", pr.j_tx, 1, busy, pr.path_id))
-
-    def _data_rx(self, node_id: int, pr: _PathRun, busy: float):
-        self._check_death(node_id, self.ledger.charge(
-            node_id, "rx", self.j_rx, 1, busy, pr.path_id))
-
-    def _ctrl_tx(self, node_id: int, pr: _PathRun):
-        self._check_death(node_id, self.ledger.charge(
-            node_id, "tx", pr.j_ctrl_tx, 1, self.tau_ctrl))
-
-    def _ctrl_rx(self, node_id: int):
-        self._check_death(node_id, self.ledger.charge(
-            node_id, "rx", self.j_ctrl_rx, 1, self.tau_ctrl))
+    def _record(self, t: float, pr: _PathRun, case: FaultCase, failed: int,
+                initiator: int, replacement: int | None = None,
+                drove: bool = True, note: str = ""):
+        self.records.append(FaultRecord(
+            time=t, path_id=pr.path_id, case=case, failed_node=failed,
+            initiator=initiator, replacement=replacement, drove_recovery=drove,
+            note=note))
 
     # -- pipeline ---------------------------------------------------------
 
@@ -557,33 +547,29 @@ class _Engine:
         pr.hop = 0
         # acquisition: the source receives the payload from its sensing stage
         if self.g.alive(pr.nodes[0]):
-            self._data_rx(pr.nodes[0], pr, busy=0.0)
+            self._charge(pr.nodes[0], "rx", self.j_rx, 0.0, pr)
         self._start_hop(t, pr)
 
     def _start_hop(self, t: float, pr: _PathRun):
         pr.instance += 1
         pr.hop_start = t
         pr.attempt = 1
-        a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
-        self._push(t, EventKind.PACKET_SEND, node_from=a, node_to=b,
-                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
+        self._send(t, pr)
+
+    def _send(self, t: float, pr: _PathRun):
+        self._push(t, EventKind.PACKET_SEND, node_from=pr.nodes[pr.hop],
+                   node_to=pr.nodes[pr.hop + 1], packet_id=pr.pkt,
+                   path_id=pr.path_id, instance=pr.instance)
 
     def _arm_timer(self, pr: _PathRun):
-        # the receiver's watchdog is due m*tau past the expected arrival;
-        # it is pushed once, when the hop is first seen to fail
-        if pr.armed == pr.instance:
+        # the receiver's watchdog is due m*tau past the expected arrival; it
+        # is pushed at the hop's first failure, and any later attempt is a
+        # retry after that failure
+        if pr.attempt > 1:
             return
-        pr.armed = pr.instance
         tau = pr.profile.tau
         self._push(pr.hop_start + tau + self.config.max_attempts * tau,
                    EventKind.TIMER_EXPIRE, node_from=pr.nodes[pr.hop + 1],
-                   packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
-
-    def _retry(self, t: float, pr: _PathRun):
-        pr.attempt += 1
-        pr.retrans += 1
-        a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
-        self._push(t, EventKind.PACKET_SEND, node_from=a, node_to=b,
                    packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
 
     def _deliver(self, t: float, pr: _PathRun):
@@ -591,27 +577,16 @@ class _Engine:
         pr.resolved_time = t
         if pr.sent < pr.total:
             self._inject(t, pr)
-        elif pr.delivered + pr.dropped == pr.total:
-            pr.state = _DONE
 
     def _fail_path(self, t: float, pr: _PathRun, case: FaultCase, failed: int,
                    initiator: int, note: str):
-        pr.state = _FAILED
-        remaining = pr.total - pr.delivered
-        pr.dropped += remaining
+        pr.dropped += pr.total - pr.delivered
         pr.resolved_time = t
-        self.records.append(FaultRecord(
-            time=t, path_id=pr.path_id, case=case, failed_node=failed,
-            initiator=initiator, replacement=None, drove_recovery=True,
-            note=note or "unrecoverable"))
+        self._record(t, pr, case, failed, initiator, note=note)
 
     def _begin_recovery(self, t: float, pr: _PathRun, case: FaultCase,
                         failed: int, initiator: int):
         pr.last_recovery_instance = pr.instance
-        if failed in (pr.nodes[0], pr.nodes[-1]):
-            self._fail_path(t, pr, case, failed, initiator,
-                            "source/sink cannot be replaced")
-            return
         # repair as discovery searches: the min-hop detour through nodes no
         # route uses, between the alive route nodes nearest the failed slot
         slot = pr.nodes.index(failed)
@@ -620,15 +595,17 @@ class _Engine:
             lo -= 1
         while hi < len(pr.nodes) - 1 and not self.g.alive(pr.nodes[hi]):
             hi += 1
-        up, down = pr.nodes[lo], pr.nodes[hi]
-        if not (self.g.alive(up) and self.g.alive(down)):
+        # neither the source nor the sink has a substitute, blamed or widened onto
+        if not (0 < slot < len(pr.nodes) - 1 and self.g.alive(pr.nodes[lo])
+                and self.g.alive(pr.nodes[hi])):
             self._fail_path(t, pr, case, failed, initiator,
                             "source/sink cannot be replaced")
             return
+        up, down = pr.nodes[lo], pr.nodes[hi]
         detour = _shortest_hops(self.g, up, down, removed=self.barred - {up, down},
                                 skip_direct=True)
         if detour is None:
-            self._fail_path(t, pr, case, failed, initiator, "")
+            self._fail_path(t, pr, case, failed, initiator, "unrecoverable")
             return
         spliced = detour[1:-1]
         pr.nodes[lo + 1:hi] = spliced
@@ -642,12 +619,10 @@ class _Engine:
         for node in spliced:  # all alive: the search only crosses live links
             self.g.activate_spare(node)
             # the detecting node briefs each spliced node over one control exchange
-            self._ctrl_tx(initiator, pr)
-            self._ctrl_rx(node)
-        self.records.append(FaultRecord(
-            time=t, path_id=pr.path_id, case=case, failed_node=failed,
-            initiator=initiator, replacement=spliced[0], drove_recovery=True,
-            note="" if len(spliced) == 1 else "detour " + ",".join(map(str, spliced))))
+            self._charge(initiator, "tx", pr.j_ctrl_tx, self.tau_ctrl, pr)
+            self._charge(node, "rx", self.j_ctrl_rx, self.tau_ctrl, pr)
+        self._record(t, pr, case, failed, initiator, replacement=spliced[0],
+                     note="" if len(spliced) == 1 else "detour " + ",".join(map(str, spliced)))
         # resume from the last alive holder of the packet once the detour is briefed
         pr.hop = lo
         self._start_hop(t + self.tau_ctrl, pr)
@@ -669,11 +644,11 @@ class _Engine:
             self._arm_timer(pr)
             return  # died mid-flight
         tau = pr.profile.tau
-        self._data_tx(a, pr, busy=tau)
+        self._charge(a, "tx", pr.j_tx, tau, pr)
         if self.g.has_edge(a, b):
-            self._data_rx(b, pr, busy=tau)
+            self._charge(b, "rx", self.j_rx, tau, pr)
             if b == pr.nodes[-1]:
-                self._data_tx(b, pr, busy=0.0)  # handoff out of the network
+                self._charge(b, "tx", pr.j_tx, 0.0, pr)  # handoff out of the network
                 self._deliver(ev.time, pr)
             else:
                 pr.hop += 1
@@ -684,14 +659,16 @@ class _Engine:
         if not self.g.alive(a):
             return  # the transmission spent the sender's last energy
         if pr.attempt < self.config.max_attempts:
-            self._retry(ev.time, pr)
+            pr.attempt += 1
+            pr.retrans += 1
+            self._send(ev.time, pr)
             return
         self._beacon(ev.time, pr)
 
     def _beacon(self, t: float, pr: _PathRun):
         # the hop's sender checks its radio with a neighbour other than the receiver
         a, b = pr.nodes[pr.hop], pr.nodes[pr.hop + 1]
-        c = _beacon_neighbor(self.g, a, avoid=b)
+        c = next((n for n in self.g.neighbors(a) if n != b), None)
         if c is None:
             # nowhere to verify the radio: treat the upstream side as faulty
             self._begin_recovery(t, pr, FaultCase.NODE_SILENT,
@@ -706,7 +683,7 @@ class _Engine:
         fault to the other. After the second nothing is left to detect it,
         so the sender beacons again, through its next alive neighbour, or
         with the sender dead too the path fails."""
-        if pr.state != _RUNNING or instance != pr.instance:
+        if not pr.running or instance != pr.instance:
             return
         if pr.unheard != instance:
             pr.unheard = instance
@@ -722,9 +699,9 @@ class _Engine:
         a, c = ev.node_from, ev.node_to
         if not self.g.alive(a):
             return
-        self._ctrl_tx(a, pr)
+        self._charge(a, "tx", pr.j_ctrl_tx, self.tau_ctrl, pr)
         if self.g.alive(c):
-            self._ctrl_rx(c)
+            self._charge(c, "rx", self.j_ctrl_rx, self.tau_ctrl, pr)
         self._push(ev.time + 2 * self.tau_ctrl, EventKind.BEACON_RESULT,
                    node_from=c, node_to=a, packet_id=ev.packet_id,
                    path_id=pr.path_id, instance=ev.instance)
@@ -733,25 +710,23 @@ class _Engine:
         c, a = ev.node_from, ev.node_to
         replied = self.g.alive(c)
         if replied:
-            self._ctrl_tx(c, pr)
+            self._charge(c, "tx", pr.j_ctrl_tx, self.tau_ctrl, pr)
         if not (replied and self.g.alive(a)):
             # no reply reached the sender; the receiver's timer may detect
             self._unheard(ev.time, pr, ev.instance)
             return
-        self._ctrl_rx(a)
+        self._charge(a, "rx", self.j_ctrl_rx, self.tau_ctrl, pr)
         b = pr.nodes[pr.hop + 1]
-        if pr.state == _RUNNING and ev.instance == pr.instance:
+        if pr.running and ev.instance == pr.instance:
             self._begin_recovery(ev.time, pr, FaultCase.HOP_UNREACHABLE,
                                  failed=b, initiator=a)
         elif ev.instance == pr.last_recovery_instance:
-            self.records.append(FaultRecord(
-                time=ev.time, path_id=pr.path_id, case=FaultCase.HOP_UNREACHABLE,
-                failed_node=b, initiator=a, replacement=None,
-                drove_recovery=False, note="lost race"))
+            self._record(ev.time, pr, FaultCase.HOP_UNREACHABLE, b, a,
+                         drove=False, note="lost race")
 
     def _on_timer(self, ev: SimEvent, pr: _PathRun):
         b = ev.node_from
-        if pr.state == _RUNNING and ev.instance == pr.instance:
+        if pr.running and ev.instance == pr.instance:
             a = pr.nodes[pr.hop]
             if self.g.alive(b):
                 self._begin_recovery(ev.time, pr, FaultCase.NODE_SILENT,
@@ -763,11 +738,8 @@ class _Engine:
             else:  # the sender's beacon may detect
                 self._unheard(ev.time, pr, ev.instance)
         elif ev.instance == pr.last_recovery_instance and self.g.alive(b):
-            self.records.append(FaultRecord(
-                time=ev.time, path_id=pr.path_id, case=FaultCase.NODE_SILENT,
-                failed_node=pr.nodes[pr.hop],
-                initiator=b, replacement=None,
-                drove_recovery=False, note="lost race"))
+            self._record(ev.time, pr, FaultCase.NODE_SILENT, pr.nodes[pr.hop], b,
+                         drove=False, note="lost race")
 
     def _on_fault_trigger(self, ev: SimEvent):
         fe: FaultEvent = ev.payload
@@ -783,7 +755,7 @@ class _Engine:
         if ev.kind not in _PATH_EVENTS:
             return False
         pr = self.paths[ev.path_id]
-        if pr.state == _RUNNING and ev.instance == pr.instance:
+        if pr.running and ev.instance == pr.instance:
             return False
         return not (ev.kind is EventKind.TIMER_EXPIRE
                     and ev.instance == pr.last_recovery_instance)
@@ -865,13 +837,12 @@ class _Engine:
             rx = (arrivals[i - 1], tau) if i else (injects, 0.0)
             for part, joules, (count, busy) in (("tx", pr.j_tx, tx), ("rx", self.j_rx, rx)):
                 if count:  # stepping would charge no zero count either
-                    self.ledger.charge(node, part, joules, count, busy, pr.path_id)
+                    self._charge(node, part, joules, busy, pr, count)
         pr.delivered += delivered
         pr.sent += injects
         if delivered:
             pr.resolved_time = last
         if done:
-            pr.state = _DONE
             pr.hop = hops - 1
             pr.instance += k - 1
         else:
@@ -888,7 +859,7 @@ class _Engine:
         Returns False, having changed nothing, when no path can advance.
         """
         running = [self.paths[pid] for pid in sorted(self.paths)
-                   if self.paths[pid].state == _RUNNING]
+                   if self.paths[pid].running]
         if not all(self._route_intact(pr) for pr in running):
             return False
         horizon = self._depletion_horizon(running, now)
@@ -899,7 +870,7 @@ class _Engine:
             if self._stale(ev):
                 continue
             pr = self.paths.get(ev.path_id)
-            if (ev.kind not in _WINDOW_STOPS and pr.state == _RUNNING
+            if (ev.kind not in _WINDOW_STOPS and pr.running
                     and ev.instance == pr.instance):
                 pending[pr.path_id].append(item)
             else:
@@ -921,7 +892,7 @@ class _Engine:
                 continue
             walked.append(pr)
             if lane is not None:
-                lane.units, lane.done = k, pr.state == _DONE
+                lane.units, lane.done = k, not pr.running
                 lanes.append(lane)
         if not walked:
             return False
@@ -930,7 +901,7 @@ class _Engine:
         kept.sort()
         self.heap[:] = kept
         for pr in walked:
-            if pr.state == _RUNNING:  # a hop still in flight
+            if pr.running:  # a hop still in flight
                 self._push(pr.hop_start + pr.profile.tau, EventKind.PACKET_ARRIVE,
                            node_from=pr.nodes[pr.hop], node_to=pr.nodes[pr.hop + 1],
                            packet_id=pr.pkt, path_id=pr.path_id, instance=pr.instance)
@@ -975,7 +946,7 @@ class _Engine:
                                 ledger=self.ledger)
         for pid in sorted(self.paths):
             pr = self.paths[pid]
-            if pr.state == _RUNNING:
+            if pr.running:
                 raise RuntimeError(f"path {pid} stalled without detection")
             if pr.delivered + pr.dropped != pr.total:
                 raise RuntimeError(
@@ -984,7 +955,7 @@ class _Engine:
             report.delivered[pid] = pr.delivered
             report.dropped[pid] = pr.dropped
             report.retransmissions[pid] = pr.retrans
-            if pr.state == _FAILED:
+            if pr.dropped:
                 report.failed_paths.append(pid)
                 report.path_delays[pid] = math.inf
             else:

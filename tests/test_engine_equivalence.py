@@ -9,6 +9,7 @@ oracle raises, both windowed runs must raise the same message.
 """
 
 import io
+from collections import Counter
 from contextlib import nullcontext
 from unittest import mock
 
@@ -31,6 +32,7 @@ from wsn_multipath import (
     allocate,
     build_network,
     parse_scenario,
+    run_comparison,
     run_transfer,
 )
 from wsn_multipath import simulation
@@ -74,7 +76,20 @@ def assert_equivalent(runs):
             assert_same_run(slow, g_slow, fast, g_fast)
 
 
+def assert_charged_to_paths(ledger):
+    """Every charge a node took, data or control, counts on a path: per
+    unit, the paths' counts sum to the nodes' tx plus rx counts."""
+    on_paths, on_nodes = Counter(), Counter()
+    for counts in ledger.path_comm.values():
+        on_paths.update(counts)
+    for led in ledger.nodes.values():
+        on_nodes.update(led.tx)
+        on_nodes.update(led.rx)
+    assert on_paths == on_nodes
+
+
 def assert_same_run(slow, g_slow, fast, g_fast):
+    assert_charged_to_paths(slow.ledger)
     for name in ("delivered", "dropped", "retransmissions", "failed_paths",
                  "path_delays", "completion_time", "fault_records",
                  "fabric_nodes"):
@@ -227,6 +242,27 @@ def test_field_with_three_node_failures():
     runs = _runs(cfg, _scheme(Scheme.EQUAL_SPLIT, cfg), faults)
     assert runs[0][0].fault_records
     assert_equivalent(runs)
+
+
+# CI's field_faults scenario: FIELD with a node_fail on the middle interior
+# node of routes 1-3, for every scheme
+FIELD_FAULTS = FIELD.replace("schemes 2\n", "") + """
+fault node_fail 0.05 34
+fault node_fail 0.10 59
+fault node_fail 0.15 149
+"""
+
+
+def test_field_faults_charges_beacons_and_briefings_to_their_paths():
+    rep = run_comparison(parse_scenario(FIELD_FAULTS))
+    for r in rep.runs:
+        assert any(fr.drove_recovery for fr in r.transfer.fault_records), r.label
+        assert_charged_to_paths(r.transfer.ledger)
+    # communication energy takes in the control exchanges, and so the total
+    assert [f"{r.comm_energy:.10g}" for r in rep.runs] == [
+        "3.6914688", "3.7198336", "3.7198336"]
+    assert rep.verdicts == {"delay_ordering": True, "energy_ordering": True,
+                            "energy_closeness": False}
 
 
 # the beacon partner c dies between the sender's beacon and c's reply, while

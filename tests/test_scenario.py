@@ -336,19 +336,34 @@ energy.k_r 0.01
         assert (e.field, e.line) == (line.split()[0], 8)
         assert "finite" in str(e)
 
+    @pytest.mark.filterwarnings("ignore:path-loss exponent")
     def test_distance_that_overflows_the_layout_reports_field_and_line(self):
-        # node i of the base's longest path, 5 hops, sits at x = distance * i / 5
+        # node i of the base's longest path, 5 hops, sits at x = distance * i / 5;
+        # with k = 1 the transmit power stays finite over such hops
+        base = self.EXPLICIT_BASE + "energy.path_loss_k 1\n"
         edge = sys.float_info.max / 4
-        cfg = parse_scenario(self.EXPLICIT_BASE + f"paths.distance {edge!r}\n")
+        cfg = parse_scenario(base + f"paths.distance {edge!r}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # squared distances overflow
             g, _ = build_network(cfg)
         assert all(map(math.isfinite, itertools.chain(*map(g.position, range(len(g))))))
-        e = self.err(self.EXPLICIT_BASE + f"paths.distance {math.nextafter(edge, math.inf)!r}\n")
-        assert (e.field, e.line) == ("paths.distance", 8)
+        e = self.err(base + f"paths.distance {math.nextafter(edge, math.inf)!r}\n")
+        assert (e.field, e.line) == ("paths.distance", 9)
         assert "infinite position" in str(e)
-        e = self.err("paths.hops 3\npaths.distance 1e308\n" + self.EXPLICIT_BASE.split("\n", 2)[2])
+        e = self.err("paths.hops 3\npaths.distance 1e308\n" + base.split("\n", 2)[2])
         assert (e.field, e.line) == ("paths.distance", 2)
+
+    def test_distance_that_overflows_the_transmit_power_reports_field_and_line(self):
+        # a 3-hop path's hop is distance / 3 long, and at k = 2 its square
+        # passes the float range above this distance
+        edge = 4.0223423789827785e+154
+        text = "paths.hops 3\npaths.distance {!r}\n" + self.EXPLICIT_BASE.split("\n", 1)[1]
+        cfg = parse_scenario(text.format(edge))
+        assert cfg.ep.amplified_tx_power(cfg.t_dist / 3) == cfg.ep.e_t
+        for distance in (math.nextafter(edge, math.inf), 1e200, 8.98e307):
+            e = self.err(text.format(distance))
+            assert (e.field, e.line) == ("paths.distance", 2)
+            assert "transmit power" in str(e)
 
     @pytest.mark.parametrize("base, line", [
         ("RANGE_BASE", "paths.tau nan"),

@@ -206,7 +206,12 @@ class TestCaseTwoRecovery:
         kinds = [l.split()[1] for l in self.lines]
         assert "BeaconSend" in kinds
         assert "BeaconResult" in kinds
-        assert "TimerExpire" in kinds
+        # the hop 3 -> 4 fails all m attempts, but its receiver's timer is
+        # pushed once, at the first failure
+        failed = [l for l in self.lines if l.split()[1:4] == ["PacketArrive", "3", "4"]]
+        assert len(failed) == M
+        timers = [l.split()[2:] for l in self.lines if l.split()[1] == "TimerExpire"]
+        assert timers == [["4", "-", "0", "1"]]
 
 
 class TestTracePromise:
