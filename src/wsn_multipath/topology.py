@@ -2,14 +2,22 @@
 
 Nodes live on a plane, and a node's id is its index in the positions the
 graph is made from: ids run ``0..len(g) - 1``. Two alive nodes are linked
-when they lie within the radio range. The graph finds those pairs once, when
-it is made: a uniform cell grid gives them in blocks (``_pairs_within``),
-and one numpy sort turns them into a base adjacency in CSR form, node ``u``'s
-neighbours being ``indices[indptr[u]:indptr[u + 1]]`` in ascending order. The
-positions and the base arrays are never written, so every ``copy`` shares
-them. numpy is imported by the functions that make or read those arrays,
-so importing this module, or parsing and validating a scenario, does not
-load it; the first graph built does.
+when they lie within the radio range, ``dx*dx + dy*dy <= r*r`` in float64.
+The graph finds those pairs once, when it is made, and keeps them as a base
+adjacency in CSR form, node ``u``'s neighbours being
+``indices[indptr[u]:indptr[u + 1]]`` in ascending order, beside the
+positions stored flat (``x0, y0, x1, y1, ...``). Two builders make that base:
+- up to ``_PYTHON_NODES`` nodes, ``_python_base`` tests every pair in plain
+  Python and stores the base in read-only memoryviews over ``array.array``;
+- above that, a uniform cell grid gives the pairs in blocks
+  (``_pairs_within``), and one numpy sort turns them into read-only numpy
+  arrays (``_numpy_base``).
+Both apply the same float64 test, so they find the same pairs, and every
+method reads either form with the same code. The base is never written, so
+every ``copy`` shares it. numpy is imported only by the functions that need
+it: importing this module, parsing a scenario or building a small graph
+does not load it; the first large graph and the first route search
+(``links_from``) do.
 
 Each graph keeps its own link state as two small sets over that base: the
 failed ids, and the cut links, each disabled link in both directions. One
@@ -36,6 +44,8 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+from array import array
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -48,6 +58,9 @@ __all__ = [
 
 
 _SPANS_PER_BLOCK = 2048
+# a graph of at most this many nodes tests every pair in plain Python, which
+# takes ~4.5 ms at 256 nodes, and never loads numpy for its base
+_PYTHON_NODES = 256
 
 
 def _pairs_within(pts: np.ndarray, r: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -101,56 +114,93 @@ def _pairs_within(pts: np.ndarray, r: float) -> list[tuple[np.ndarray, np.ndarra
             counts = end[block] - first[block]
             a = np.repeat(here[block], counts)
             b = np.arange(len(a)) + np.repeat(first[block] - (np.cumsum(counts) - counts), counts)
-            dx, dy = xs[a] - xs[b], ys[a] - ys[b]
-            hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
+            # a difference or a square past the float range is inf, and
+            # compares as inf, as in ``_python_base``: no warning
+            with np.errstate(over="ignore"):
+                dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+                hit = np.flatnonzero(dx * dx + dy * dy <= r * r)
             found.append((order[a[hit]], order[b[hit]]))
         del first, end
     return found
 
 
+def _python_base(positions, r: float) -> tuple[memoryview, memoryview, memoryview]:
+    """A small graph's base, ``(positions, indptr, indices)``, as read-only
+    memoryviews over ``array.array``: each pair of ``positions`` tested in
+    turn by ``_pairs_within``'s float64 rule, in plain Python."""
+    flat = array("d")
+    for x, y in positions:
+        flat.extend((x, y))
+    xs, ys, r = flat[0::2].tolist(), flat[1::2].tolist(), float(r)
+    for u, (x, y) in enumerate(zip(xs, ys)):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"node {u} has a non-finite position {(x, y)}")
+    # node u's row gets each lower neighbour on that one's turn, then its
+    # higher ones on its own, so every row comes out in ascending order
+    rows: list[list[int]] = [[] for _ in xs]
+    for u, (x, y, row) in enumerate(zip(xs, ys, rows)):
+        for v, xv, yv in zip(range(u + 1, len(xs)), xs[u + 1:], ys[u + 1:]):
+            dx, dy = x - xv, y - yv
+            if dx * dx + dy * dy <= r * r:
+                row.append(v)
+                rows[v].append(u)
+    indptr = array("q", accumulate(map(len, rows), initial=0))
+    indices = array("q", chain.from_iterable(rows))
+    return tuple(memoryview(a).toreadonly() for a in (flat, indptr, indices))
+
+
+def _numpy_base(positions, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A graph's base as read-only numpy arrays, from ``_pairs_within``'s
+    blocks of hits: flat positions, ``indptr`` and ``indices``."""
+    import numpy as np
+
+    pts = np.array(positions, dtype=np.float64).reshape(-1, 2)
+    n = len(pts)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"node {bad} has a non-finite position "
+                         f"{tuple(pts[bad].tolist())}")
+    found = _pairs_within(pts, r)
+    # each pair in both directions as one key, row * n + column, so one
+    # sort groups the pairs by row and orders each row by neighbour.
+    # Filled in place from the blocks of hits, each let go once written,
+    # and in the narrowest dtype that holds n * n (uint32 up to 65,535 nodes)
+    m = sum(len(u) for u, _ in found)
+    keys = np.empty(2 * m, dtype=np.min_scalar_type(n * n))
+    at = 0
+    while found:
+        u, v = found.pop()
+        for half, (x, y) in ((keys[at:at + len(u)], (u, v)),
+                             (keys[m + at:m + at + len(u)], (v, u))):
+            np.multiply(x, n, out=half, dtype=keys.dtype)
+            half += y
+        at += len(u)
+    keys.sort()
+    # row u's keys are the ones in [u * n, (u + 1) * n)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
+    indices = np.remainder(keys, n, out=keys).astype(np.min_scalar_type(n))
+    base = (pts.reshape(-1), indptr, indices)
+    for shared in base:
+        shared.flags.writeable = False
+    return base
+
+
 class TopologyGraph:
     def __init__(self, positions, radio_range: float, initial_energy: float,
                  spares=()):
+        """``positions`` is a sequence of ``(x, y)`` pairs, node i at the i-th."""
         if not radio_range > 0:
             raise ValueError(f"radio range must be > 0, got {radio_range}")
-        import numpy as np
-
-        pts = np.array(positions, dtype=np.float64).reshape(-1, 2)
-        n = len(pts)
-        finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise ValueError(f"node {bad} has a non-finite position "
-                             f"{tuple(pts[bad].tolist())}")
+        build = _python_base if len(positions) <= _PYTHON_NODES else _numpy_base
+        self._pos, self._indptr, self._indices = build(positions, radio_range)
         self.radio_range = radio_range
         self.version = 1
-        self._pos = pts
         self._initial_energy = initial_energy
         self._spares = set(spares)
         outside = sorted(s for s in self._spares if s not in self)
         if outside:
-            raise ValueError(f"spare {outside[0]} is not a node id in [0, {n})")
-        found = _pairs_within(pts, radio_range)
-        # each pair in both directions as one key, row * n + column, so one
-        # sort groups the pairs by row and orders each row by neighbour.
-        # Filled in place from the blocks of hits, each let go once written,
-        # and in the narrowest dtype that holds n * n (uint32 up to 65,535 nodes)
-        m = sum(len(u) for u, _ in found)
-        keys = np.empty(2 * m, dtype=np.min_scalar_type(n * n))
-        at = 0
-        while found:
-            u, v = found.pop()
-            for half, (x, y) in ((keys[at:at + len(u)], (u, v)),
-                                 (keys[m + at:m + at + len(u)], (v, u))):
-                np.multiply(x, n, out=half, dtype=keys.dtype)
-                half += y
-            at += len(u)
-        keys.sort()
-        # row u's keys are the ones in [u * n, (u + 1) * n)
-        self._indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
-        self._indices = np.remainder(keys, n, out=keys).astype(np.min_scalar_type(n))
-        for shared in (self._pos, self._indptr, self._indices):
-            shared.flags.writeable = False
+            raise ValueError(f"spare {outside[0]} is not a node id in [0, {len(self)})")
         self._failed: set[int] = set()
         self._cut: set[tuple[int, int]] = set()  # disabled links, both directions
         self._residual: dict[int, float] = {}   # only the residuals written
@@ -164,12 +214,12 @@ class TopologyGraph:
         return g
 
     def __len__(self) -> int:
-        return len(self._pos)
+        return len(self._indptr) - 1
 
     def __contains__(self, node_id) -> bool:
         # numpy registers its integer scalars as numbers.Integral; int comes
         # first so that the engine's plain ids skip the slower ABC check
-        return isinstance(node_id, (int, numbers.Integral)) and 0 <= node_id < len(self._pos)
+        return isinstance(node_id, (int, numbers.Integral)) and 0 <= node_id < len(self)
 
     def alive(self, node_id: int) -> bool:
         return node_id in self and node_id not in self._failed
@@ -178,7 +228,8 @@ class TopologyGraph:
         return self._residual.get(node_id, self._initial_energy)
 
     def position(self, node_id: int) -> tuple[float, float]:
-        return tuple(self._pos[node_id].tolist())
+        p = self._pos    # x0, y0, x1, y1, ...
+        return float(p[2 * node_id]), float(p[2 * node_id + 1])
 
     @property
     def spares(self) -> frozenset[int]:
@@ -210,12 +261,14 @@ class TopologyGraph:
         base rows, less the pairs with a failed end or a cut."""
         import numpy as np
 
-        starts = self._indptr[ids]
-        counts = self._indptr[ids + 1] - starts
+        # views of the base, which a small graph keeps in memoryviews
+        indptr, indices = np.asarray(self._indptr), np.asarray(self._indices)
+        starts = indptr[ids]
+        counts = indptr[ids + 1] - starts
         # gathered entry k of node i sits at indices[starts[i] + k - first[i]]
         first = np.cumsum(counts) - counts
         src = np.repeat(ids, counts)
-        dst = self._indices[np.arange(counts.sum()) + np.repeat(starts - first, counts)]
+        dst = indices[np.arange(counts.sum()) + np.repeat(starts - first, counts)]
         if self._failed or self._cut:
             failed = list(self._failed)
             keep = ~(np.isin(src, failed) | np.isin(dst, failed))

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import pytest
 
-from wsn_multipath import EnergyParams, LinkParams, PathProfile
+from wsn_multipath import EnergyParams, LinkParams, PathProfile, topology
 
 BENCH_HOPS = [9, 22, 5, 20, 7]
 BENCH_TAU = 0.02
@@ -42,3 +44,15 @@ sim.idle_power  409.6e-6
 @pytest.fixture
 def bench_scenario_text() -> str:
     return BENCH_SCENARIO
+
+
+@pytest.fixture(scope="session")
+def each_builder():
+    """``for builder in each_builder(): ...`` runs the loop's body once under
+    each of the graph's base builders: plain Python, then numpy's cell grid,
+    whatever the graph's size."""
+    def each():
+        for builder, nodes in (("python", 2**62), ("numpy", -1)):
+            with mock.patch.object(topology, "_PYTHON_NODES", nodes):
+                yield builder
+    return each

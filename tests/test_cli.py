@@ -207,6 +207,16 @@ class TestOverflow:
         else:
             assert not (tmp_path / "out").exists()
 
+    def test_largest_distance_runs_without_a_warning(self, tmp_path):
+        # the largest 3-hop distance the scenario check accepts: the layout's
+        # radio range and its end-to-end span square past the float range,
+        # and every pair passes the range test as inf <= inf, silently
+        scn = tmp_path / "huge.scenario"
+        scn.write_text("paths.hops 3\npaths.distance 4.0223423789827785e+154\n"
+                       "paths.redundant 2\npackets 1\nlink.bit_rate 1000\n"
+                       "energy.e_t 0.1\nenergy.e_r 0.1\nenergy.k_r 0.01\n")
+        code, _, err, files = run_outputs(CLI, scn, tmp_path / "run")
+        assert (code, err) == (0, b"") and len(files) == 4
 
     def test_capacity_survives_an_overflowing_discriminant(self, bench_path, tmp_path,
                                                            capsys):
@@ -273,22 +283,24 @@ def python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:
                           capture_output=True, env=dict(os.environ, PYTHONPATH=path))
 
 
+def run_outputs(code, scenario, run_dir, *args):
+    """Exit code, stdout, stderr and output files of ``run`` in ``run_dir``."""
+    run_dir.mkdir()
+    proc = python(code, "run", str(scenario), "--out", "out", *args, cwd=run_dir)
+    files = {f.name: f.read_bytes() for f in sorted((run_dir / "out").glob("*"))}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
 class TestWithoutScipy:
     """The command line never imports scipy: a run in a process where any
     scipy import fails writes the same bytes as a normal run."""
 
     BLOCKED = "import sys; sys.modules['scipy'] = None; " + CLI
 
-    def outputs(self, prelude, scenario, run_dir, *args):
-        run_dir.mkdir()
-        proc = python(prelude, "run", str(scenario), "--out", "out", *args, cwd=run_dir)
-        files = {f.name: f.read_bytes() for f in sorted((run_dir / "out").glob("*"))}
-        return proc.returncode, proc.stdout, proc.stderr, files
-
     def test_bundled_scenario(self, bench_path, tmp_path):
-        plain = self.outputs(CLI, bench_path, tmp_path / "plain")
+        plain = run_outputs(CLI, bench_path, tmp_path / "plain")
         assert plain[0] == 0 and b"Traceback" not in plain[2]
-        assert self.outputs(self.BLOCKED, bench_path, tmp_path / "blocked") == plain
+        assert run_outputs(self.BLOCKED, bench_path, tmp_path / "blocked") == plain
 
     def test_field_with_a_node_failure(self, tmp_path, capsys):
         scn = tmp_path / "field.scenario"
@@ -296,15 +308,16 @@ class TestWithoutScipy:
         assert main(["paths", str(scn)]) == 0
         route = capsys.readouterr().out.splitlines()[0].split(": ")[1].split(",")
         scn.write_text(SMALL_FIELD + f"fault node_fail 0.05 {route[1]}\n")
-        plain = self.outputs(CLI, scn, tmp_path / "plain", "--trace")
+        plain = run_outputs(CLI, scn, tmp_path / "plain", "--trace")
         assert plain[0] in (0, 3) and "trace_single_path.txt" in plain[3]
-        assert self.outputs(self.BLOCKED, scn, tmp_path / "blocked", "--trace") == plain
+        assert run_outputs(self.BLOCKED, scn, tmp_path / "blocked", "--trace") == plain
 
 
 class TestWithoutNumpy:
-    """Parsing and checking a scenario, and the closed-form model and split,
-    build no array: in a process where any numpy import fails, ``validate``
-    and the package's allocation API work as in a normal process."""
+    """Parsing and checking a scenario, the closed-form model and split, and
+    a small graph build no array: in a process where any numpy import fails,
+    ``validate``, the package's allocation API and a fault-free run of a
+    small explicit layout work as in a normal process."""
 
     NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
@@ -337,7 +350,23 @@ print(allocate(Scheme.ADAPTIVE, ep, paths, 100).as_list())
 """)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[20, 8, 37, 9, 26]\n", b"")
 
-    def test_a_graph_build_needs_numpy(self, bench_path):
-        # the block is real: the first graph build imports numpy
-        proc = python(self.NO_NUMPY + CLI, "paths", bench_path)
+    def test_explicit_run(self, bench_path, tmp_path):
+        # the bundled layout's 60 nodes build in plain Python, and with no
+        # fault no route is searched; each process says on its last stderr
+        # line whether it loaded numpy
+        code = ("import sys; from wsn_multipath.cli import main; code = main(); "
+                "print('numpy loaded:', sys.modules.get('numpy') is not None, "
+                "file=sys.stderr); sys.exit(code)")
+        plain = run_outputs(code, bench_path, tmp_path / "plain", "--packets", "1000")
+        # exit 3: at 1,000 packets the energy closeness check fails
+        assert plain[0] == 3 and plain[2] == b"numpy loaded: False\n"
+        assert len(plain[3]) == 4
+        assert run_outputs(self.NO_NUMPY + code, bench_path, tmp_path / "blocked",
+                           "--packets", "1000") == plain
+
+    def test_a_graph_build_needs_numpy(self, tmp_path):
+        # the block is real: deploying a field imports numpy
+        scn = tmp_path / "field.scenario"
+        scn.write_text(SMALL_FIELD)
+        proc = python(self.NO_NUMPY + CLI, "paths", str(scn))
         assert proc.returncode != 0 and b"numpy" in proc.stderr

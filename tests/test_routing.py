@@ -128,58 +128,62 @@ class TestShortestHopsOracle:
                     min_size=2, max_size=40),
            st.sampled_from([1.0, 1.5, 2.0, 3.0]),
            st.data(), st.booleans())
-    def test_lattice_fields(self, points, radio, data, skip_direct):
+    def test_lattice_fields(self, each_builder, points, radio, data, skip_direct):
         # integer points give many equal-hop alternatives to break by id
-        g = graph_from(points, radio)
         ids = st.integers(0, len(points) - 1)
         source, sink = data.draw(ids), data.draw(ids)
         removed = data.draw(st.sets(ids))
-        assert_matches_heap_search(g, source, sink, removed, skip_direct)
+        for _ in each_builder():
+            g = graph_from(points, radio)
+            assert_matches_heap_search(g, source, sink, removed, skip_direct)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 300), st.integers(0, 10**6),
            st.sampled_from([8.0, 12.0, 20.0]), st.data(), st.booleans())
-    def test_random_fields(self, count, seed, radio, data, skip_direct):
-        g = deploy_field((100.0, 100.0), count, seed=seed, radio_range=radio)
+    def test_random_fields(self, each_builder, count, seed, radio, data, skip_direct):
         ids = st.integers(0, count - 1)
         source, sink = data.draw(ids), data.draw(ids)
         removed = data.draw(st.sets(ids, max_size=count // 2))
-        assert_matches_heap_search(g, source, sink, removed, skip_direct)
+        for _ in each_builder():
+            g = deploy_field((100.0, 100.0), count, seed=seed, radio_range=radio)
+            assert_matches_heap_search(g, source, sink, removed, skip_direct)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                     min_size=2, max_size=30),
            st.sampled_from([1.5, 2.0, 3.0]), st.data(), st.booleans())
-    def test_mutated_graphs(self, points, radio, data, skip_direct):
+    def test_mutated_graphs(self, each_builder, points, radio, data, skip_direct):
         # failures and link cuts write lists that override the base rows, on
         # the graph and on a copy; lookups make lists equal to their rows
-        g = graph_from(points, radio)
         ids = st.integers(0, len(points) - 1)
         edits = data.draw(st.lists(st.one_of(
             st.tuples(st.just("fail_node"), ids),
             st.tuples(st.just("disable_link"), ids, ids),
             st.tuples(st.just("neighbors"), ids)), max_size=12))
         copy_at = data.draw(st.integers(0, len(edits) + 1))
-        graphs = [g]
-        for k, (op, *args) in enumerate(edits):
-            if k == copy_at:
-                graphs.append(graphs[-1].copy())
-            getattr(graphs[-1], op)(*args)
-        for h in graphs:
-            source, sink = data.draw(ids), data.draw(ids)
-            removed = data.draw(st.sets(ids, max_size=len(points) // 2))
-            assert_matches_heap_search(h, source, sink, removed, skip_direct)
+        searches = [(data.draw(ids), data.draw(ids),
+                     data.draw(st.sets(ids, max_size=len(points) // 2)))
+                    for _ in range(1 + (copy_at < len(edits)))]
+        for _ in each_builder():
+            graphs = [graph_from(points, radio)]
+            for k, (op, *args) in enumerate(edits):
+                if k == copy_at:
+                    graphs.append(graphs[-1].copy())
+                getattr(graphs[-1], op)(*args)
+            for h, (source, sink, removed) in zip(graphs, searches, strict=True):
+                assert_matches_heap_search(h, source, sink, removed, skip_direct)
 
-    def test_direct_edge(self):
+    def test_direct_edge(self, each_builder):
         # source 0 and sink 3 are in range of each other, and each of 1 and
         # 2 links them in two hops; 1 and 2 are out of range of each other
-        g = graph_from([(0, 0), (0.5, -0.8), (0.5, 0.8), (1, 0)], radio=1.2)
-        assert g.has_edge(0, 3)
         cases = [(set(), False, [0, 3]), ({1, 2}, False, [0, 3]),
                  (set(), True, [0, 1, 3]), ({1}, True, [0, 2, 3]),
                  ({1, 2}, True, None), ({3}, True, [0, 1, 3])]
-        for removed, skip_direct, want in cases:
-            assert assert_matches_heap_search(g, 0, 3, removed, skip_direct) == want
+        for _ in each_builder():
+            g = graph_from([(0, 0), (0.5, -0.8), (0.5, 0.8), (1, 0)], radio=1.2)
+            assert g.has_edge(0, 3)
+            for removed, skip_direct, want in cases:
+                assert assert_matches_heap_search(g, 0, 3, removed, skip_direct) == want
 
 
 class TestAgainstFlowOracle:

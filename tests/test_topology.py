@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.spatial import cKDTree
 from wsn_multipath import (
     TopologyGraph,
     deploy_field,
+    topology,
 )
 
 
@@ -129,60 +132,62 @@ class TestInPlaceEdits:
            st.sampled_from([1.0, 3.0, 5.0, 7.5, 20.0]),
            st.lists(EDITS, max_size=12),
            st.sampled_from([(0, 0), (1, 1), (1, 0), (2, 2), (2, 1), (2, 0)]))
-    def test_edits_match_a_fresh_build(self, points, radio, edits, chain):
+    def test_edits_match_a_fresh_build(self, each_builder, points, radio, edits,
+                                       chain):
         # integer points put many pairs at exactly the range (3-4-5 triangles).
         # ``chain`` = (copies made, which graph of root, copy, copy of copy is
         # edited); every other graph of the chain must not see the edits
         depth, target = chain
         ids = range(len(points))
-        graphs = [TopologyGraph([(float(x), float(y)) for x, y in points], radio,
-                                1.0, spares=ids)]
-        for _ in range(depth):
-            graphs.append(graphs[-1].copy())
-        g = graphs[target]
-        others = [(h, graph_state(h)) for h in graphs if h is not g]
-        dead: set[int] = set()
-        cut: set[frozenset[int]] = set()
-        nodes_want = {i: (1.0, True, True) for i in ids}
+        for _ in each_builder():
+            graphs = [TopologyGraph([(float(x), float(y)) for x, y in points], radio,
+                                    1.0, spares=ids)]
+            for _ in range(depth):
+                graphs.append(graphs[-1].copy())
+            g = graphs[target]
+            others = [(h, graph_state(h)) for h in graphs if h is not g]
+            dead: set[int] = set()
+            cut: set[frozenset[int]] = set()
+            nodes_want = {i: (1.0, True, True) for i in ids}
 
-        def rebuilt():
-            # a fresh graph of the surviving nodes, less the cut pairs
-            up = [i for i in ids if i not in dead]
-            fresh = TopologyGraph([g.position(i) for i in up], radio, 1.0)
-            adj = {u: [up[c] for c in fresh.neighbors(r)] for r, u in enumerate(up)}
-            return {u: [v for v in adj.get(u, []) if frozenset((u, v)) not in cut]
-                    for u in ids}
+            def rebuilt():
+                # a fresh graph of the surviving nodes, less the cut pairs
+                up = [i for i in ids if i not in dead]
+                fresh = TopologyGraph([g.position(i) for i in up], radio, 1.0)
+                adj = {u: [up[c] for c in fresh.neighbors(r)] for r, u in enumerate(up)}
+                return {u: [v for v in adj.get(u, []) if frozenset((u, v)) not in cut]
+                        for u in ids}
 
-        want = rebuilt()
-        for op, *args in edits:
-            if any(a not in g for a in args[:2 if op == "disable_link" else 1]):
-                continue
-            before = g.version
-            energy, alive, spare = nodes_want[args[0]]
-            if op == "fail_node":
-                changed = args[0] not in dead
-                dead.add(args[0])
-                alive = False
-            elif op == "disable_link":
-                changed = args[1] in want[args[0]]
-                cut.add(frozenset(args))
-            elif op == "set_residual":
-                changed = False
-                energy = args[1]
-            else:
-                changed = spare
-                spare = False
-            nodes_want[args[0]] = (energy, alive, spare)
-            getattr(g, op)(*args)
-            assert g.version == before + changed
             want = rebuilt()
-            for u in ids:
-                assert g.neighbors(u) == want[u]
-                assert (g.residual(u), g.alive(u), u in g.spares) == nodes_want[u]
-                for v in ids:
-                    assert g.has_edge(u, v) == (v in g.neighbors(u))
-            for h, state in others:
-                assert graph_state(h) == state
+            for op, *args in edits:
+                if any(a not in g for a in args[:2 if op == "disable_link" else 1]):
+                    continue
+                before = g.version
+                energy, alive, spare = nodes_want[args[0]]
+                if op == "fail_node":
+                    changed = args[0] not in dead
+                    dead.add(args[0])
+                    alive = False
+                elif op == "disable_link":
+                    changed = args[1] in want[args[0]]
+                    cut.add(frozenset(args))
+                elif op == "set_residual":
+                    changed = False
+                    energy = args[1]
+                else:
+                    changed = spare
+                    spare = False
+                nodes_want[args[0]] = (energy, alive, spare)
+                getattr(g, op)(*args)
+                assert g.version == before + changed
+                want = rebuilt()
+                for u in ids:
+                    assert g.neighbors(u) == want[u]
+                    assert (g.residual(u), g.alive(u), u in g.spares) == nodes_want[u]
+                    for v in ids:
+                        assert g.has_edge(u, v) == (v in g.neighbors(u))
+                for h, state in others:
+                    assert graph_state(h) == state
 
 
 def pairwise_adjacency(positions, radio, alive=None):
@@ -252,20 +257,57 @@ class TestAdjacencyBuild:
     # squares that underflow to 0 pass the range test for points 600 ranges apart
     @example(([(1.2169641316135087e-268, 0.0, True), (7.831658045683603e-266, 0.0, True),
                (0.0, 0.0, False)], 1.2169641316135087e-268))
-    def test_matches_pairwise_build(self, layout):
+    def test_matches_pairwise_build(self, each_builder, layout):
         # some nodes fail right after the graph is made
         points, radio = layout
         positions = [(x, y) for x, y, _ in points]
-        g = TopologyGraph(positions, radio, 1.0)
-        for i, (_, _, up) in enumerate(points):
-            if not up:
-                g.fail_node(i)
         want = pairwise_adjacency(positions, radio, [up for _, _, up in points])
-        for i in range(len(g)):
-            nbrs = g.neighbors(i)
-            assert nbrs == want[i]
-            assert all(type(v) is int for v in nbrs)
-            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+        for _ in each_builder():
+            g = TopologyGraph(positions, radio, 1.0)
+            for i, (_, _, up) in enumerate(points):
+                if not up:
+                    g.fail_node(i)
+            for i in range(len(g)):
+                nbrs = g.neighbors(i)
+                assert nbrs == want[i]
+                assert all(type(v) is int for v in nbrs)
+                assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+
+    def test_builders_meet_at_the_threshold(self):
+        # a graph of _PYTHON_NODES nodes is built in plain Python, one of a
+        # node more by numpy; with that node failed, they agree on every
+        # pair. Integer points put many pairs at exactly the range
+        rng = random.Random(5)
+        n = topology._PYTHON_NODES
+        points = [(float(rng.randint(0, 40)), float(rng.randint(0, 40)))
+                  for _ in range(n + 1)]
+        small, large = TopologyGraph(points[:n], 5.0, 1.0), TopologyGraph(points, 5.0, 1.0)
+        assert isinstance(small._indptr, memoryview)
+        assert isinstance(large._indptr, np.ndarray)
+        large.fail_node(n)
+        ids = list(range(n))
+        assert [small.neighbors(u) for u in ids] == [large.neighbors(u) for u in ids]
+        assert all(small.has_edge(u, v) == large.has_edge(u, v) for u in ids for v in ids)
+        assert links_by_id(small, ids) == links_by_id(large, ids)
+        assert sum(map(len, (small.neighbors(u) for u in ids))) > n
+        # plain floats from either form
+        assert [type(c) for c in small.position(3) + large.position(3)] == [float] * 4
+        assert small.position(3) == large.position(3) == points[3]
+
+    def test_squares_past_the_float_range_build_silently(self, each_builder):
+        # 257 points 1e152 apart on a line and a range of 1e154, whose square
+        # is finite: pairs in adjacent cells, up to ~2e154 apart, square past
+        # the float range to inf and fail the test, without numpy's overflow
+        # warning
+        points = [(i * 1e152, 1e154) for i in range(topology._PYTHON_NODES + 1)]
+        rows = []
+        for _ in each_builder():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = TopologyGraph(points, 1e154, 1.0)
+            rows.append([g.neighbors(u) for u in range(len(g))])
+        assert rows[0] == rows[1]
+        assert 99 <= len(rows[0][0]) <= 101 and rows[0][0][0] == 1
 
     @pytest.mark.parametrize("count, side", [(1_500, 300.0), (50_000, 1732.0)])
     def test_deployed_field_matches_pairwise_build(self, count, side):
@@ -335,14 +377,19 @@ class TestRows:
         assert g.neighbors(2) == [] and g.neighbors(77) == []
         assert not g.has_edge(2, 3) and not g.has_edge(3, 2)
 
-    def test_copy_shares_read_only_base(self):
-        g = mixed_graph()
-        h = g.copy()
-        h.fail_node(3)
-        for name in ("_pos", "_indptr", "_indices"):
-            assert getattr(h, name) is getattr(g, name)
-            assert not getattr(g, name).flags.writeable
-        assert g.neighbors(3) == [0, 1]
+    def test_copy_shares_read_only_base(self, each_builder):
+        for builder in each_builder():
+            g = mixed_graph()
+            h = g.copy()
+            h.fail_node(3)
+            for name in ("_pos", "_indptr", "_indices"):
+                base = getattr(g, name)
+                assert getattr(h, name) is base
+                assert isinstance(base, memoryview) == (builder == "python")
+                # numpy raises ValueError, a memoryview TypeError
+                with pytest.raises((TypeError, ValueError), match="read-only"):
+                    base[0] = base[0]
+            assert g.neighbors(3) == [0, 1]
 
 
 class TestLinksFrom:
@@ -374,21 +421,22 @@ class TestLinksFrom:
     # a cut whose end later fails, the cut made in the copy
     @example([(0, 0), (1, 0), (2, 0), (1, 1)], 1.0,
              [("disable_link", 0, 1), ("fail_node", 1)], 0, [0, 1, 2, 3])
-    def test_edited_graphs_agree_with_neighbors(self, points, radio, edits,
-                                                copy_at, ids):
+    def test_edited_graphs_agree_with_neighbors(self, each_builder, points, radio,
+                                                edits, copy_at, ids):
         # the gather over many rows and has_edge read the same adjacency as
         # neighbors after any mix of failures, cuts and lookups, on a graph
         # or a copy made before edit ``copy_at``
-        g = TopologyGraph([(float(x), float(y)) for x, y in points], radio, 1.0)
-        for k, (op, *args) in enumerate(edits):
-            if k == copy_at:
-                g = g.copy()
-            if args[0] in g and (op != "disable_link" or args[1] in g):
-                getattr(g, op)(*args)
-        ids = [i for i in ids if i in g]
-        assert links_by_id(g, ids) == links_by_neighbors(g, ids)
-        for u in ids:
-            assert all(g.has_edge(u, v) == (v in g.neighbors(u)) for v in ids)
+        ids = [i for i in ids if i < len(points)]
+        for _ in each_builder():
+            g = TopologyGraph([(float(x), float(y)) for x, y in points], radio, 1.0)
+            for k, (op, *args) in enumerate(edits):
+                if k == copy_at:
+                    g = g.copy()
+                if args[0] in g and (op != "disable_link" or args[1] in g):
+                    getattr(g, op)(*args)
+            assert links_by_id(g, ids) == links_by_neighbors(g, ids)
+            for u in ids:
+                assert all(g.has_edge(u, v) == (v in g.neighbors(u)) for v in ids)
 
 
 class TestDeploy:
